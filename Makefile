@@ -1,12 +1,6 @@
 GO ?= go
 
-# benchcmp knobs: make benchcmp OUT=new.txt COUNT=10, then
-# `benchstat old.txt new.txt`.
-BENCH_PATTERN ?= Dijkstra|EdgeByPort|MetricBuild|TrafficThroughput
-COUNT ?= 5
-OUT ?= bench-new.txt
-
-.PHONY: all build test verify race short large bench bench-smoke bench-json benchcmp fmt vet lint ci traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
+.PHONY: all build test verify race short large bench bench-smoke perfbench-test fmt vet lint ci traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
 
 all: verify
 
@@ -73,13 +67,13 @@ obs:
 	$(GO) test -race -run 'TestClusterLiveSnapshot|TestTCPMetricsEndpoint|TestWindow|TestTCPFlappingPeer' ./internal/cluster
 	$(GO) test -race ./internal/telemetry
 
-# Dynamic-topology smoke (E17/E18) under the race detector: the churn
-# epoch loop — seeded events, stale-window serving with typed drops,
-# incremental repair, per-epoch certification against a from-scratch
-# build — then the maintenance property/fuzz tests and the TCP
-# peer-flap units (monitor detection, mid-batch kill).
+# Dynamic-topology smoke (E17/E18) under the race detector: the
+# one-shard churn loop — seeded events, repair under fire with typed
+# drops, per-batch certification against a from-scratch build — then
+# the maintenance property/fuzz tests and the TCP peer-flap units
+# (monitor detection, mid-batch kill).
 churn:
-	$(GO) run -race ./cmd/rtbench -exp churn -n 128 -packets 6000 -epochs 3 -rate 4 -seed 1
+	$(GO) run -race ./cmd/rtbench -exp churncluster -shards 1 -workers 4 -n 128 -packets 6000 -epochs 3 -events 2 -seed 1
 	$(GO) test -race -run 'TestRunChurnSmoke|TestIncrementalMatchesFreshUnderEventFuzz|TestRebuildAllMatchesFreshBuild|TestModelReplayDeterminism|TestAffectedSetIsSound' .
 	$(GO) test -race -run 'TestTCPPeerDeathDetectedByMonitor|TestTCPPeerFlapMidBatch' ./internal/cluster
 
@@ -91,7 +85,8 @@ churn:
 # and the mid-repair peer-death / poisoned-repair TCP tests.
 churn-cluster:
 	$(GO) run -race ./cmd/rtbench -exp churncluster -n 96 -shards 8 -epochs 3 -events 3 -packets 9000 -seed 1
-	$(GO) test -race -run 'TestClusterChurnMatchesSequential|TestClusterChurnUnderReorderingAdversary|TestBoundedAffectedSetSupersetOfExact' .
+	$(GO) test -race -run 'TestClusterChurnMatchesSequential|TestClusterChurnUnderReorderingAdversary|TestChurnGaugesMatchResult' .
+	$(GO) test -race -run 'TestBoundedAffectedSetSupersetOfExact' ./internal/churn
 	$(GO) test -race -run 'TestTCPPeerDeathMidRepair|TestRepairFailurePoisonsShard' ./internal/cluster
 	$(GO) test -race -run 'TestChurnEventFrameGolden' ./internal/wire
 
@@ -108,18 +103,12 @@ bench:
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
 
-# Canonical perf suite -> committed trajectory artifact (E13). Bump the
-# output name per PR: BENCH_PR3.json, BENCH_PR4.json, ...
-bench-json:
-	$(GO) run ./cmd/rtbench -exp bench -json -out BENCH_PR7.json
-
-# Before/after comparisons: run `make benchcmp OUT=old.txt` on the old
-# commit, again with OUT=new.txt on the new one, then
-# `benchstat old.txt new.txt` (golang.org/x/perf/cmd/benchstat).
-benchcmp:
-	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchmem -count $(COUNT) . > $(OUT)
-	@cat $(OUT)
-	@echo "# wrote $(OUT); compare with: benchstat <old>.txt $(OUT)"
+# The repository benchmark (perfbench/, see BENCHMARK.json) is its own
+# module, so root ./... never compiles it: vet and test it separately
+# so a public-API change cannot break it unnoticed. Before/after
+# comparisons: bash perfbench/run.sh compare old.txt new.txt.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -129,4 +118,4 @@ vet:
 
 lint: fmt vet
 
-ci: lint build race traffic cluster obs churn churn-cluster docs bench-smoke fuzz-smoke
+ci: lint build race traffic cluster obs churn churn-cluster docs bench-smoke perfbench-test fuzz-smoke

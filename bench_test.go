@@ -7,14 +7,16 @@ package rtroute
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
-	"rtroute/internal/benchsuite"
 	"rtroute/internal/blocks"
+	"rtroute/internal/cluster"
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/rtmetric"
 	"rtroute/internal/rtz"
+	"rtroute/internal/telemetry"
 	"rtroute/internal/traffic"
 	"rtroute/internal/tree"
 )
@@ -89,7 +91,7 @@ func BenchmarkFig1RTZBaseline(b *testing.B) {
 // and measured stretch (bound 6).
 func BenchmarkFig1Stretch6Roundtrip(b *testing.B) {
 	sys := benchSystem(b, 3, 128)
-	sch, err := sys.BuildStretchSix(4)
+	sch, err := sys.Build(StretchSix, WithSeed(4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func BenchmarkFig1Stretch6Roundtrip(b *testing.B) {
 // BenchmarkFig1ExStretchK2Roundtrip and K3 are E1/E4 rows (§3 scheme).
 func BenchmarkFig1ExStretchK2Roundtrip(b *testing.B) {
 	sys := benchSystem(b, 5, 128)
-	sch, err := sys.BuildExStretch(2, 6)
+	sch, err := sys.Build(ExStretch, WithK(2), WithSeed(6))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func BenchmarkFig1ExStretchK2Roundtrip(b *testing.B) {
 
 func BenchmarkFig1ExStretchK3Roundtrip(b *testing.B) {
 	sys := benchSystem(b, 7, 128)
-	sch, err := sys.BuildExStretch(3, 8)
+	sch, err := sys.Build(ExStretch, WithK(3), WithSeed(8))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func BenchmarkFig1ExStretchK3Roundtrip(b *testing.B) {
 // BenchmarkFig1PolyK2Roundtrip is E1/E6 (§4 scheme, bound 8k^2+4k-4).
 func BenchmarkFig1PolyK2Roundtrip(b *testing.B) {
 	sys := benchSystem(b, 9, 128)
-	sch, err := sys.BuildPolynomial(2)
+	sch, err := sys.Build(Polynomial, WithK(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func BenchmarkBuildStretch6(b *testing.B) {
 	sys := benchSystem(b, 11, 96)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.BuildStretchSix(int64(i)); err != nil {
+		if _, err := sys.Build(StretchSix, WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -141,7 +143,7 @@ func BenchmarkBuildExStretchK3(b *testing.B) {
 	sys := benchSystem(b, 12, 96)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.BuildExStretch(3, int64(i)); err != nil {
+		if _, err := sys.Build(ExStretch, WithK(3), WithSeed(int64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,7 +154,7 @@ func BenchmarkBuildPolyK2(b *testing.B) {
 	sys := benchSystem(b, 13, 96)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.BuildPolynomial(2); err != nil {
+		if _, err := sys.Build(Polynomial, WithK(2)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,15 +257,36 @@ func BenchmarkLemma2RTZOneWay(b *testing.B) {
 	}
 }
 
+func dijkstraGraph() *Graph {
+	return RandomSC(1024, 8192, 16, rand.New(rand.NewSource(19)))
+}
+
 // BenchmarkDijkstra measures the shortest-path substrate (S1): the
 // pooled one-shot entry point, which pays two owned-row copies per call.
-// The body lives in benchsuite so `go test -bench` and `rtbench -exp
-// bench` measure the identical code.
-func BenchmarkDijkstra(b *testing.B) { benchsuite.BenchDijkstraPooled(b) }
+func BenchmarkDijkstra(b *testing.B) {
+	g := dijkstraGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := graph.Dijkstra(g, graph.NodeID(i%g.N()))
+		if res.Dist[(i+1)%g.N()] >= graph.Inf {
+			b.Fatal("unreachable in SC graph")
+		}
+	}
+}
 
 // BenchmarkDijkstraScratch measures the zero-allocation core (E13/S4):
 // the same runs through one reused SSSPScratch, rows aliased not copied.
-func BenchmarkDijkstraScratch(b *testing.B) { benchsuite.BenchDijkstraScratch(b) }
+func BenchmarkDijkstraScratch(b *testing.B) {
+	g := dijkstraGraph()
+	s := graph.NewSSSPScratch(g.N())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := s.Dijkstra(g, graph.NodeID(i%g.N()))
+		if res.Dist[(i+1)%g.N()] >= graph.Inf {
+			b.Fatal("unreachable in SC graph")
+		}
+	}
+}
 
 // BenchmarkAllPairs measures full metric construction (S1).
 func BenchmarkAllPairs(b *testing.B) {
@@ -287,7 +310,7 @@ func BenchmarkTheorem15Reduction(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sch, err := sys.BuildStretchSix(22)
+	sch, err := sys.Build(StretchSix, WithSeed(22))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,13 +349,65 @@ func BenchmarkInitOrder(b *testing.B) {
 // row sweep (2n Dijkstras, bounded cache) — the worst case a scheme
 // build can demand of it.
 func BenchmarkMetricBuild(b *testing.B) {
-	// Bodies live in benchsuite (shared with `rtbench -exp bench`);
 	// lazy-single-row measures the latency a cold point query actually
 	// pays: one Dijkstra, versus the full n-Dijkstra dense build.
-	b.Run("dense-sequential", benchsuite.BenchMetricDenseSequential)
-	b.Run("dense-parallel", benchsuite.BenchMetricDenseParallel)
-	b.Run("lazy-full-sweep", benchsuite.BenchMetricLazyFullSweep)
-	b.Run("lazy-single-row", benchsuite.BenchMetricLazySingleRow)
+	b.Run("dense-sequential", benchMetricDenseSequential)
+	b.Run("dense-parallel", benchMetricDenseParallel)
+	b.Run("lazy-full-sweep", benchMetricLazyFullSweep)
+	b.Run("lazy-single-row", benchMetricLazySingleRow)
+}
+
+func metricGraph() *Graph {
+	return RandomSC(512, 2048, 8, rand.New(rand.NewSource(31)))
+}
+
+func benchMetricDenseSequential(b *testing.B) {
+	g := metricGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := graph.AllPairsSequential(g); m.N() != g.N() {
+			b.Fatal("bad metric")
+		}
+	}
+}
+
+func benchMetricDenseParallel(b *testing.B) {
+	g := metricGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := graph.AllPairs(g); m.N() != g.N() {
+			b.Fatal("bad metric")
+		}
+	}
+}
+
+// benchMetricLazyFullSweep drives the lazy oracle through a full 2n-row
+// sweep at a 64-row cache — the worst case a scheme build can demand of
+// it.
+func benchMetricLazyFullSweep(b *testing.B) {
+	g := metricGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := graph.NewLazyOracle(g, 64)
+		var sink graph.Dist
+		for u := 0; u < g.N(); u++ {
+			sink += o.FromSource(graph.NodeID(u))[0] + o.ToSink(graph.NodeID(u))[0]
+		}
+		if sink < 0 {
+			b.Fatal("impossible")
+		}
+	}
+}
+
+func benchMetricLazySingleRow(b *testing.B) {
+	g := metricGraph()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := graph.NewLazyOracle(g, 2)
+		if o.FromSource(graph.NodeID(i % g.N()))[0] < 0 {
+			b.Fatal("impossible")
+		}
+	}
 }
 
 // BenchmarkEdgeByPort compares the per-hop port-resolution cost across
@@ -371,9 +446,9 @@ func BenchmarkEdgeByPort(b *testing.B) {
 	})
 	// "csr" (adversarial labels -> hashed tables; name kept for
 	// trajectory continuity) and "dense" (contiguous labels -> flat
-	// tables) share their bodies with `rtbench -exp bench`.
-	b.Run("csr", benchsuite.BenchEdgeByPortAdversarial)
-	b.Run("dense", benchsuite.BenchEdgeByPortDense)
+	// tables).
+	b.Run("csr", benchEdgeByPortAdversarial)
+	b.Run("dense", benchEdgeByPortDense)
 	b.Run("portto-hash", func(b *testing.B) {
 		// The companion O(1) pair lookup used by table construction.
 		targets := make([]NodeID, len(probes))
@@ -390,6 +465,54 @@ func BenchmarkEdgeByPort(b *testing.B) {
 	})
 }
 
+// benchEdgeByPortAdversarial resolves ports on a graph whose labels were
+// scattered over [0, 4n) by AssignPorts: the open-addressed path.
+func benchEdgeByPortAdversarial(b *testing.B) {
+	rng := rand.New(rand.NewSource(33))
+	g := graph.RandomSC(1024, 16*1024, 8, rng)
+	benchEdgeByPort(b, g)
+}
+
+// benchEdgeByPortDense resolves ports on a graph with the default
+// contiguous per-node labels: the flat dense-table path.
+func benchEdgeByPortDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(33))
+	adv := graph.RandomSC(1024, 16*1024, 8, rng)
+	// Same topology, default contiguous labels (AddEdge order).
+	g := graph.New(adv.N())
+	for u := 0; u < adv.N(); u++ {
+		for _, e := range adv.Out(graph.NodeID(u)) {
+			g.MustAddEdge(graph.NodeID(u), e.To, e.Weight)
+		}
+	}
+	benchEdgeByPort(b, g)
+}
+
+// benchEdgeByPort probes the public per-hop surface (Graph.EdgeByPort,
+// including its per-call index load) so the rows stay comparable with
+// the historical BenchmarkEdgeByPort trajectory; the PortTable-hoisted
+// path is what the traffic row measures end-to-end.
+func benchEdgeByPort(b *testing.B, g *graph.Graph) {
+	n := g.N()
+	probes := make([]struct {
+		u graph.NodeID
+		p graph.PortID
+	}, n)
+	for u := 0; u < n; u++ {
+		edges := g.Out(graph.NodeID(u))
+		probes[u].u = graph.NodeID(u)
+		probes[u].p = edges[len(edges)-1].Port
+	}
+	g.Seal()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := probes[i%n]
+		if _, ok := g.EdgeByPort(pr.u, pr.p); !ok {
+			b.Fatal("probe port missing")
+		}
+	}
+}
+
 // BenchmarkTrafficThroughput is scaling study S3: serving rate of one
 // shared compiled StretchSix plane as the worker count grows. Each
 // iteration is ONE routed roundtrip; packets/s is reported as a custom
@@ -398,7 +521,7 @@ func BenchmarkEdgeByPort(b *testing.B) {
 // curve.
 func BenchmarkTrafficThroughput(b *testing.B) {
 	sys := benchSystem(b, 1, 256)
-	s6, err := sys.BuildStretchSix(1)
+	s6, err := sys.Build(StretchSix, WithSeed(1))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -427,23 +550,113 @@ func BenchmarkTrafficThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkMarshalScheme measures wire-format snapshot encoding
-// (internal/benchsuite: identical body serves `rtbench -exp bench`).
-func BenchmarkMarshalScheme(b *testing.B) { benchsuite.BenchMarshalScheme(b) }
+// benchStretchSix builds the shared 256-node StretchSix instance the
+// serving benchmarks run (BenchmarkTrafficThroughput's plane).
+func benchStretchSix(b *testing.B) Scheme {
+	s6, err := benchSystem(b, 1, 256).Build(StretchSix, WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s6
+}
+
+// benchDeployment is benchStretchSix restored from its wire snapshot:
+// per-node Router dispatch on every hop.
+func benchDeployment(b *testing.B) *Deployment {
+	blob, err := MarshalScheme(benchStretchSix(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dep, err := UnmarshalScheme(blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return dep
+}
+
+// BenchmarkMarshalScheme measures full-scheme snapshot encoding
+// (256-node StretchSix), reporting the blob size alongside ns/op.
+func BenchmarkMarshalScheme(b *testing.B) {
+	s6 := benchStretchSix(b)
+	blob, err := MarshalScheme(s6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportMetric(float64(len(blob)), "blobBytes")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MarshalScheme(s6); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkDeploymentForward serves traffic through a wire-restored
 // per-node-Router Deployment; the PR4 bar is within 10% of the
 // monolithic compiled plane (BenchmarkTrafficThroughput workers=1).
-func BenchmarkDeploymentForward(b *testing.B) { benchsuite.BenchDeploymentForward(b) }
+func BenchmarkDeploymentForward(b *testing.B) {
+	pl, err := traffic.Compile(benchDeployment(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	res, err := traffic.Run(pl, traffic.Config{
+		Workers:  1,
+		Packets:  int64(b.N),
+		Seed:     1,
+		Workload: traffic.Spec{Kind: traffic.Zipf},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(res.PacketsPerSec(), "packets/s")
+	b.ReportMetric(res.HopsPerSec(), "hops/s")
+}
 
 // BenchmarkClusterThroughput is scaling study S6: the same restored
 // Deployment sharded across an 8-shard channel-bus cluster, every
-// boundary-crossing hop wire-encoded (internal/benchsuite: identical
-// body serves `rtbench -exp bench`).
-func BenchmarkClusterThroughput(b *testing.B) { benchsuite.BenchClusterThroughput(b) }
+// boundary-crossing hop shipped as a flight frame — the E15 serving
+// row. Cross-shard frames per roundtrip is reported alongside the
+// rates.
+func BenchmarkClusterThroughput(b *testing.B) { benchCluster(b, false) }
 
 // BenchmarkClusterTelemetry is the identical run with the telemetry
-// plane attached at rtserve defaults — measured against the row above,
+// plane attached at rtserve defaults (sampled stage timing, heat
+// sketches, flight recorder armed) — measured against the row above,
 // it is the observability overhead (E16 acceptance: within a few
 // percent).
-func BenchmarkClusterTelemetry(b *testing.B) { benchsuite.BenchClusterTelemetry(b) }
+func BenchmarkClusterTelemetry(b *testing.B) { benchCluster(b, true) }
+
+func benchCluster(b *testing.B, sink bool) {
+	dep := benchDeployment(b)
+	cfg := cluster.Config{
+		Shards:    8,
+		Placement: cluster.RTZAligned,
+		Packets:   int64(b.N),
+		Seed:      1,
+		InFlight:  4096,
+		Workload:  traffic.Spec{Kind: traffic.Zipf},
+	}
+	if sink {
+		shape := cfg.SinkShape()
+		shape.TraceEvery = 1024
+		cfg.Sink = telemetry.New(shape)
+	}
+	// Collect the build-time garbage (scheme construction, all-pairs
+	// distances) before timing: leftover heap from earlier runs in the
+	// same process otherwise inflates GC pressure for later ones.
+	runtime.GC()
+	b.ResetTimer()
+	res, err := cluster.Run(dep, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(res.PacketsPerSec(), "packets/s")
+	b.ReportMetric(res.HopsPerSec(), "hops/s")
+	if res.Packets > 0 {
+		b.ReportMetric(res.CrossingsPerRT(), "xframes/rt")
+		b.ReportMetric(res.AllocsPerRT(), "allocs/rt")
+	}
+	b.ReportMetric(res.WindowOccupancy, "window-occ")
+}

@@ -17,6 +17,40 @@ import (
 	"rtroute/internal/wire"
 )
 
+// Re-exported churn surface, so drivers configure the dynamic-topology
+// plane without importing internal packages.
+type (
+	// ChurnMix weights the event kinds a churn model draws from.
+	ChurnMix = churn.Mix
+	// ChurnEvent is one timestamped topology event.
+	ChurnEvent = churn.Event
+	// DamperOptions tunes the per-link flap damper (RFC 2439 shape).
+	DamperOptions = churn.DamperConfig
+	// ChurnOverlay drives a mutable graph under churn events.
+	ChurnOverlay = churn.Overlay
+	// ChurnModel draws seeded, replayable Poisson-clocked event streams.
+	ChurnModel = churn.Model
+)
+
+// DefaultChurnMix is the standard event-kind weighting.
+var DefaultChurnMix = churn.DefaultMix
+
+// ErrUnroutable matches (via errors.Is) roundtrips that failed typed on
+// an administratively down link before repair caught up.
+var ErrUnroutable = sim.ErrUnroutable
+
+// NewChurnOverlay wraps the system's graph for churn; damper fields at
+// zero select the RFC-flavored defaults.
+func NewChurnOverlay(g *Graph, damper DamperOptions) (*ChurnOverlay, error) {
+	return churn.NewOverlay(g, churn.NewDamper(damper))
+}
+
+// NewChurnModel creates a seeded event model over an overlay; the event
+// stream is a pure function of (seed, rate, mix).
+func NewChurnModel(ov *ChurnOverlay, seed int64, rate float64, mix ChurnMix, maxW Dist) *ChurnModel {
+	return churn.NewModel(ov, seed, rate, mix, maxW)
+}
+
 // ChurnClusterConfig parameterizes one RunChurnCluster experiment:
 // seeded churn absorbed by a serving shard fabric, with online per-shard
 // repair behind epoch fences and bit-identity certification against a
@@ -74,7 +108,8 @@ type ChurnClusterConfig struct {
 	Certify bool
 	// Sink, when non-nil, attaches the telemetry plane; its shape must
 	// match Shards x Workers (cluster.Config.SinkShape). The driver
-	// registers churn_cluster_* gauges on it.
+	// registers the churn_* gauges on it (the rtserve daemon's names,
+	// summed over shards) plus churn_dirty_frac.
 	Sink *TelemetrySink
 	// wrapEndpoint, when non-nil, wraps each shard's transport endpoint
 	// — the test hook the reordering-adversary certification uses to
@@ -83,6 +118,9 @@ type ChurnClusterConfig struct {
 }
 
 func (cfg *ChurnClusterConfig) fill() {
+	if cfg.Kind == 0 {
+		cfg.Kind = StretchSix
+	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 8
 	}
@@ -167,29 +205,16 @@ type ChurnClusterResult struct {
 
 type ccPair struct{ src, dst int32 }
 
-// ccReplica is one shard's private copy of the world: its own graph
-// clone, maintained plane, churn overlay and deployment. Nothing below
-// the wire is shared between shards, so a repair is a genuinely local
-// act — exactly the regime the paper's per-node tables are for.
-type ccReplica struct {
-	m    *Maintained
-	ov   *churn.Overlay
-	dep  *core.Deployment
-	view *core.ShardView
-	sh   *cluster.Shard
-	seen []bool // dirty-union scratch, repairs are serialized per shard
-}
-
 type ccRun struct {
 	cfg    ChurnClusterConfig
 	n      int
-	refM   *Maintained
-	refOv  *churn.Overlay
+	ref    *Replica
 	refDep *core.Deployment
 	model  *churn.Model
 	place  *cluster.Placement
-	nodeOf []NodeID // name -> node, churn-invariant (the paper's TINNs)
-	reps   []*ccReplica
+	nodeOf []NodeID   // name -> node, churn-invariant (the paper's TINNs)
+	reps   []*Replica // shard i's private replica
+	shards []*cluster.Shard
 	bus    *cluster.ChanBus
 	window *cluster.Window
 	wake   chan struct{}
@@ -250,19 +275,15 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	// Reference replica: the certification oracle and sequential-replay
 	// plane. It sees the same events and repairs with the full affected
 	// set (no ownership filter).
-	refM, err := sys.BuildMaintained(cfg.Kind, func(c *BuildConfig) { *c = cfg.Build })
+	ref, err := NewReplica(sys.Graph, sys.Naming, cfg.Kind, cfg.Build, cfg.Damper)
 	if err != nil {
 		return nil, err
 	}
-	refOv, err := churn.NewOverlay(sys.Graph, churn.NewDamper(cfg.Damper))
-	if err != nil {
-		return nil, err
-	}
-	model := churn.NewModel(refOv, cfg.ChurnSeed, cfg.Rate, cfg.Mix, cfg.MaxWeight)
+	model := churn.NewModel(ref.ov, cfg.ChurnSeed, cfg.Rate, cfg.Mix, cfg.MaxWeight)
 	if cfg.MinWeight > 0 {
 		model.SetMinWeight(cfg.MinWeight)
 	}
-	refDep := core.NewDeployment(refM.Plane(), cfg.Kind)
+	refDep := core.NewDeployment(ref.Plane(), cfg.Kind)
 	place, err := cluster.NewPlacement(refDep, cfg.Shards, cfg.Placement)
 	if err != nil {
 		return nil, err
@@ -270,7 +291,7 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 
 	r := &ccRun{
 		cfg: cfg, n: n,
-		refM: refM, refOv: refOv, refDep: refDep, model: model, place: place,
+		ref: ref, refDep: refDep, model: model, place: place,
 		bus:    cluster.NewChanBus(cfg.Shards, cfg.InFlight+cfg.Shards),
 		window: cluster.NewWindow(cfg.InFlight),
 		wake:   make(chan struct{}, 1),
@@ -283,35 +304,26 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 		r.nodeOf[name] = refDep.NodeOf(name)
 	}
 
-	// Per-shard replicas: clone the pristine graph, rebuild the same
-	// plane from the same seed, wrap a private overlay. Built before any
-	// churn so every replica starts from the reference's exact state.
-	r.reps = make([]*ccReplica, cfg.Shards)
-	for i := range r.reps {
-		gi := sys.Graph.Clone()
-		si, err := NewSystemWith(gi, sys.Naming, SystemConfig{Metric: MetricLazy})
+	// Per-shard replicas, built before any churn so every replica starts
+	// from the reference's exact state.
+	r.reps = make([]*Replica, cfg.Shards)
+	r.shards = make([]*cluster.Shard, cfg.Shards)
+	for i := range r.shards {
+		rep, err := NewReplica(sys.Graph, sys.Naming, cfg.Kind, cfg.Build, cfg.Damper)
 		if err != nil {
 			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
 		}
-		mi, err := si.BuildMaintained(cfg.Kind, func(c *BuildConfig) { *c = cfg.Build })
-		if err != nil {
-			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
-		}
-		ovi, err := churn.NewOverlay(gi, churn.NewDamper(cfg.Damper))
-		if err != nil {
-			return nil, fmt.Errorf("rtroute: shard %d overlay: %w", i, err)
-		}
-		depi := core.NewDeployment(mi.Plane(), cfg.Kind)
-		viewi, err := depi.ShardView(i, place.Owner)
+		dep := core.NewDeployment(rep.Plane(), cfg.Kind)
+		view, err := dep.ShardView(i, place.Owner)
 		if err != nil {
 			return nil, fmt.Errorf("rtroute: shard %d view: %w", i, err)
 		}
-		rep := &ccReplica{m: mi, ov: ovi, dep: depi, view: viewi, seen: make([]bool, n)}
 		tr := cluster.Transport(r.bus.Endpoint(i))
 		if cfg.wrapEndpoint != nil {
 			tr = cfg.wrapEndpoint(i, tr)
 		}
-		rep.sh = cluster.NewShard(viewi, place, tr, cluster.Options{
+		r.reps[i] = rep
+		r.shards[i] = cluster.NewShard(view, place, tr, cluster.Options{
 			Workers: cfg.Workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
 			Strict: true,
 			OnDone: func(f *wire.Frame) {
@@ -330,16 +342,16 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 				r.window.Put(1)
 				r.wakeup()
 			},
-			Repair: r.repairFor(rep),
+			Repair: rep.RepairHook(dep, view.Owns),
 			OnRepaired: func(seq uint64) {
 				r.acks.Add(1)
 				r.wakeup()
 			},
 			Sink: cfg.Sink, SinkShard: i,
 		})
-		r.reps[i] = rep
 	}
-	r.registerGauges()
+	cluster.RegisterChurnGauges(cfg.Sink, r.shards...)
+	cfg.Sink.RegisterGauge("churn_dirty_frac", func() float64 { return math.Float64frombits(r.dirtyBits.Load()) })
 
 	wl, err := traffic.NewWorkload(cfg.Workload, n, cfg.Build.Seed^cfg.ChurnSeed)
 	if err != nil {
@@ -348,14 +360,14 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	gen := wl.Generator(0)
 
 	var wg sync.WaitGroup
-	for _, rep := range r.reps {
+	for _, sh := range r.shards {
 		wg.Add(1)
 		go func(sh *cluster.Shard) {
 			defer wg.Done()
 			if err := sh.Serve(); err != nil {
 				r.abort(err)
 			}
-		}(rep.sh)
+		}(sh)
 	}
 
 	res := &ChurnClusterResult{
@@ -398,80 +410,15 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 		res.StableRTPerSec = float64(stableIssued) / (float64(stableNs) / 1e9)
 	}
 	var repairNanos int64
-	for _, rep := range r.reps {
-		_, _, reps, nanos := rep.sh.ChurnStats()
-		res.Repairs += reps
-		repairNanos += nanos
-		st := rep.sh.Stats()
-		res.CrossShard += st.FramesOut
+	_, _, res.Repairs, repairNanos = cluster.ChurnTotals(r.shards...)
+	for _, sh := range r.shards {
+		res.CrossShard += sh.Stats().FramesOut
 	}
 	if res.Repairs > 0 {
 		res.RepairNsMean = repairNanos / res.Repairs
 	}
 	res.Certified = true
 	return res, nil
-}
-
-// repairFor builds shard rep's Repair hook: apply the batch to the
-// shard's private overlay, rebuild the affected set intersected with
-// the shard's owned nodes, and rebind the deployment to the (possibly
-// swapped) plane. The shard calls it under its epoch fence with batches
-// in sequence order.
-func (r *ccRun) repairFor(rep *ccReplica) func(uint64, []churn.Event) error {
-	return func(seq uint64, events []churn.Event) error {
-		var dirty []NodeID
-		add := func(ds []NodeID) {
-			for _, d := range ds {
-				if !rep.seen[d] {
-					rep.seen[d] = true
-					dirty = append(dirty, d)
-				}
-			}
-		}
-		var at float64
-		for _, ev := range events {
-			ds, err := rep.ov.Apply(ev)
-			if err != nil {
-				return fmt.Errorf("cluster churn batch %d: %w", seq, err)
-			}
-			add(ds)
-			at = ev.At
-		}
-		released, err := rep.ov.Advance(at)
-		if err != nil {
-			return fmt.Errorf("cluster churn batch %d: %w", seq, err)
-		}
-		add(released)
-		for _, d := range dirty {
-			rep.seen[d] = false
-		}
-		churn.SortNodeIDs(dirty)
-		if _, err := rep.m.RebuildNodesFor(dirty, rep.view.Owns); err != nil {
-			return fmt.Errorf("cluster churn batch %d: %w", seq, err)
-		}
-		rep.dep.Rebind(rep.m.Plane())
-		return nil
-	}
-}
-
-func (r *ccRun) registerGauges() {
-	sink := r.cfg.Sink
-	sink.RegisterGauge("churn_cluster_drops_total", func() float64 { return float64(r.drops.Load()) })
-	sink.RegisterGauge("churn_cluster_misroutes_total", func() float64 { return float64(r.misroutes.Load()) })
-	sink.RegisterGauge("churn_cluster_repairs_total", func() float64 { return float64(r.acks.Load()) })
-	sink.RegisterGauge("churn_cluster_dirty_frac", func() float64 { return math.Float64frombits(r.dirtyBits.Load()) })
-	sink.RegisterGauge("churn_cluster_repair_ns_mean", func() float64 {
-		var count, nanos int64
-		for _, rep := range r.reps {
-			_, _, c, ns := rep.sh.ChurnStats()
-			count += c
-			nanos += ns
-		}
-		if count == 0 {
-			return 0
-		}
-		return float64(nanos) / float64(count)
-	})
 }
 
 // drive runs the batch loop: draw events -> fire (serve while the
@@ -485,35 +432,20 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		row := ChurnClusterBatch{Batch: b}
 
 		// Draw the batch from the model and apply it to the reference
-		// overlay; the same events ride the wire to every shard.
+		// replica as drawn (the model reads the overlay's state); the
+		// same events ride the wire to every shard.
 		events := make([]churn.Event, 0, r.cfg.EventsPerBatch)
-		var dirty []NodeID
-		seen := make([]bool, r.n)
-		add := func(ds []NodeID) {
-			for _, d := range ds {
-				if !seen[d] {
-					seen[d] = true
-					dirty = append(dirty, d)
-				}
-			}
-		}
-		var at float64
 		for i := 0; i < r.cfg.EventsPerBatch; i++ {
 			ev := r.model.Next()
 			events = append(events, ev)
-			ds, err := r.refOv.Apply(ev)
-			if err != nil {
+			if err := r.ref.Apply(ev); err != nil {
 				return fmt.Errorf("rtroute: batch %d: %w", b, err)
 			}
-			add(ds)
-			at = ev.At
 		}
-		released, err := r.refOv.Advance(at)
+		dirty, err := r.ref.Settle()
 		if err != nil {
 			return fmt.Errorf("rtroute: batch %d: %w", b, err)
 		}
-		add(released)
-		churn.SortNodeIDs(dirty)
 		row.Events = len(events)
 		row.Dirty = len(dirty)
 		row.DirtyFrac = float64(len(dirty)) / float64(r.n)
@@ -538,11 +470,11 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		}
 		// The reference repairs on the driver thread while the fabric
 		// serves under fire.
-		if _, err := r.refM.RebuildNodes(dirty); err != nil {
+		if _, err := r.ref.RebuildNodes(dirty); err != nil {
 			<-injected
 			return fmt.Errorf("rtroute: reference repair: %w", err)
 		}
-		r.refDep.Rebind(r.refM.Plane())
+		r.refDep.Rebind(r.ref.Plane())
 		if err := <-injected; err != nil {
 			return err
 		}
@@ -556,8 +488,8 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		row.FireDrops = r.drops.Load() - drops0
 		row.FireMisroutes = r.misroutes.Load() - miss0
 		var repairSum, repairMax int64
-		for i, rep := range r.reps {
-			_, _, reps, nanos := rep.sh.ChurnStats()
+		for i, sh := range r.shards {
+			_, _, reps, nanos := sh.ChurnStats()
 			d := nanos - prevNanos[i]
 			if reps != prevRepairs[i]+1 {
 				return fmt.Errorf("rtroute: batch %d: shard %d ran %d repairs, expected %d", b, i, reps, prevRepairs[i]+1)
@@ -576,7 +508,7 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		// Certify, to a from-scratch build on the mutated graph.
 		cert0 := time.Now()
 		if r.cfg.Certify {
-			if err := r.refM.Certify(); err != nil {
+			if err := r.ref.Certify(); err != nil {
 				return fmt.Errorf("rtroute: batch %d: reference vs from-scratch: %w", b, err)
 			}
 		}
@@ -607,7 +539,7 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		var refHops, refWeight int64
 		var hdr sim.Header
 		for _, p := range stablePairs {
-			out, back, h, err := sim.RoundtripFlightReusing(r.refM.Plane(), hdr, p.src, p.dst, r.cfg.MaxHops)
+			out, back, h, err := sim.RoundtripFlightReusing(r.ref.Plane(), hdr, p.src, p.dst, r.cfg.MaxHops)
 			if err != nil {
 				return fmt.Errorf("rtroute: batch %d: sequential replay %d->%d: %w", b, p.src, p.dst, err)
 			}
@@ -631,7 +563,7 @@ func (r *ccRun) drawPairs(gen traffic.Generator, count int64) []ccPair {
 	pairs := make([]ccPair, 0, count)
 	for i := int64(0); i < count; i++ {
 		src, dst := gen.Next()
-		for tries := 0; tries < 64 && (r.refOv.NodeFailed(r.nodeOf[src]) || r.refOv.NodeFailed(r.nodeOf[dst])); tries++ {
+		for tries := 0; tries < 64 && (r.ref.ov.NodeFailed(r.nodeOf[src]) || r.ref.ov.NodeFailed(r.nodeOf[dst])); tries++ {
 			src, dst = gen.Next()
 		}
 		pairs = append(pairs, ccPair{src, dst})
@@ -711,12 +643,12 @@ func (r *ccRun) waitAccounted(issued, acks int64, what string) error {
 // certifySlices compares every shard's owned LocalStates bit for bit
 // against the reference replica's decomposition.
 func (r *ccRun) certifySlices(batch int) error {
-	refShared, refLocals, err := core.Decompose(r.refM.Plane())
+	refShared, refLocals, err := core.Decompose(r.ref.Plane())
 	if err != nil {
 		return fmt.Errorf("rtroute: batch %d: decompose reference: %w", batch, err)
 	}
 	for i, rep := range r.reps {
-		shared, locals, err := core.Decompose(rep.m.Plane())
+		shared, locals, err := core.Decompose(rep.Plane())
 		if err != nil {
 			return fmt.Errorf("rtroute: batch %d: decompose shard %d: %w", batch, i, err)
 		}

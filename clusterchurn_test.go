@@ -191,3 +191,76 @@ func TestClusterChurnUnderReorderingAdversary(t *testing.T) {
 		})
 	}
 }
+
+// TestRunChurnSmoke runs the one-shard churn loop — events, repair
+// under fire, certification, stable serving — at test scale.
+func TestRunChurnSmoke(t *testing.T) {
+	sys := churnSystem(t, 64, 42)
+	res, err := RunChurnCluster(sys, ChurnClusterConfig{
+		Kind:           StretchSix,
+		Build:          BuildConfig{Seed: 7},
+		Shards:         1,
+		Workers:        4,
+		ChurnSeed:      1234,
+		Batches:        3,
+		EventsPerBatch: 1,
+		FirePackets:    400,
+		StablePackets:  400,
+		Certify:        true,
+	})
+	if err != nil {
+		t.Fatalf("RunChurnCluster: %v", err)
+	}
+	if res.Repairs != 3 {
+		t.Fatalf("repairs = %d, want 3", res.Repairs)
+	}
+	if res.Served == 0 {
+		t.Fatalf("no roundtrips served")
+	}
+	if res.CrossShard != 0 {
+		t.Fatalf("one shard shipped %d cross-shard frames", res.CrossShard)
+	}
+	t.Logf("\n%s", res.Format())
+}
+
+// TestChurnGaugesMatchResult locks the churn gauge names the driver
+// shares with the rtserve daemon: at the end of a sink-attached run
+// each gauge equals the result's accounting exactly.
+func TestChurnGaugesMatchResult(t *testing.T) {
+	sys := churnSystem(t, 48, 5)
+	sink := NewTelemetrySink(TelemetryConfig{Shards: []int{0}, Workers: 2})
+	res, err := RunChurnCluster(sys, ChurnClusterConfig{
+		Build:          BuildConfig{Seed: 3},
+		Shards:         1,
+		Workers:        2,
+		ChurnSeed:      77,
+		Batches:        3,
+		EventsPerBatch: 2,
+		FirePackets:    300,
+		StablePackets:  300,
+		Sink:           sink,
+	})
+	if err != nil {
+		t.Fatalf("RunChurnCluster: %v", err)
+	}
+	got := map[string]float64{}
+	for _, g := range sink.Snapshot().Gauges {
+		got[g.Name] = g.Value
+	}
+	last := res.BatchRows[len(res.BatchRows)-1]
+	want := map[string]float64{
+		"churn_drops_total":     float64(res.Drops),
+		"churn_misroutes_total": float64(res.Misroutes),
+		"churn_repairs_total":   float64(res.Repairs),
+		"churn_repair_ns_mean":  float64(res.RepairNsMean),
+		"churn_dirty_frac":      last.DirtyFrac,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("gauges %v, want exactly the names of %v", got, want)
+	}
+	for name, w := range want {
+		if v, ok := got[name]; !ok || v != w {
+			t.Fatalf("gauge %s = %v (present %v), want %v", name, v, ok, w)
+		}
+	}
+}

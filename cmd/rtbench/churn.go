@@ -9,23 +9,25 @@ import (
 	"rtroute"
 )
 
-// runChurnExp is the E17/E18 dynamic-topology experiment: a maintained
-// scheme serves traffic while a seeded churn model mutates the graph;
-// each epoch measures drops and misroutes during convergence, the
-// repair latency of the incremental RebuildNodes pass, and the dirty
-// fraction (delta-rebuild cost) — optionally certifying the repaired
-// plane bit-identical to a from-scratch build.
-func runChurnExp(n int, seed int64) error {
+// runChurnClusterExp is the dynamic-topology experiment (E17-E19):
+// seeded churn events ride the shard fabric as wire frames while the
+// cluster serves roundtrips; each shard repairs the affected set
+// intersected with its owned nodes behind its epoch fence, every batch
+// is certified bit-identical to the reference (and, with -certify, to a
+// from-scratch build), and the report compares serving throughput under
+// fire against the stable windows between batches. -shards 1 is the
+// single-process case (E17): one replica repairs the whole dirty set.
+func runChurnClusterExp(n int, seed int64) error {
 	kind, err := schemeKind()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# E17/E18 — dynamic topology: seeded churn, route repair, incremental maintenance\n")
-	fmt.Printf("# n=%d seed=%d scheme=%s rate=%.2g/10k epochs=%d packets=%d certify=%v\n\n",
-		n, seed, trafficScheme, churnRate, churnEpochs, trafficPackets, churnCertify)
+	fmt.Printf("# E17/E19 — cluster churn: online repair through the shard fabric, certified under fire\n")
+	fmt.Printf("# n=%d seed=%d scheme=%s shards=%d placement=%s batches=%d events=%d certify=%v\n\n",
+		n, seed, trafficScheme, clusterShards, clusterPlacement, churnEpochs, churnEvents, churnCertify)
 
 	rng := rand.New(rand.NewSource(seed))
-	g := rtroute.RandomSC(n, 32*n, 64, rng)
+	g := rtroute.RandomSC(n, min(32*n, n*(n-2)), 64, rng)
 	// Remap weights into [33, 64]: with a max/min ratio under 2, no
 	// single edge can dominate its head node's entry, so an event's
 	// affected set reflects real path diversity instead of one funnel
@@ -37,84 +39,11 @@ func runChurnExp(n int, seed int64) error {
 			}
 		}
 	}
-	// Maintained schemes re-read distances after every mutation, so the
-	// churn experiment always runs on the lazy (mutation-tracking)
-	// oracle regardless of -metric.
+	// Every replica builds on its own lazy (mutation-tracking) oracle,
+	// so the system only carries the graph and naming: the lazy kind
+	// skips the dense matrix nothing would read.
 	sys, err := rtroute.NewSystemWith(g, rtroute.RandomNaming(n, rng),
-		rtroute.SystemConfig{Metric: rtroute.MetricLazy, LazyCacheRows: lazyCacheRows})
-	if err != nil {
-		return err
-	}
-
-	perEpoch := trafficPackets / int64(churnEpochs)
-	if perEpoch < 1 {
-		perEpoch = 1
-	}
-	cfg := rtroute.ChurnConfig{
-		Kind:            kind,
-		Build:           rtroute.BuildConfig{Seed: seed},
-		ChurnSeed:       seed + 1,
-		Rate:            churnRate,
-		Epochs:          churnEpochs,
-		PacketsPerEpoch: perEpoch,
-		StaleFraction:   churnStale,
-		MinWeight:       33,
-		MaxWeight:       64,
-		Workers:         trafficWorkers,
-		Certify:         churnCertify,
-		Workload: rtroute.TrafficWorkload{
-			Kind:      rtroute.WorkloadKind(trafficWorkload),
-			ZipfTheta: trafficZipf,
-		},
-	}
-	sink, stop, err := attachSink(rtroute.TelemetryConfig{Shards: []int{0}, Workers: 1})
-	if err != nil {
-		return err
-	}
-	defer stop()
-	cfg.Sink = sink
-
-	res, err := rtroute.RunChurn(sys, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Format())
-	fmt.Printf("\ndelta-rebuild cost: max %.1f%% of nodes per event batch, mean %.1f%% (acceptance bar: <=20%% at n=1024)\n",
-		100*res.MaxDirtyFrac, 100*res.MeanDirtyFrac)
-	fmt.Println("every roundtrip completed or failed typed (ErrUnroutable) — none hung; see DESIGN.md \"Dynamic topology\"")
-	if benchJSON {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", benchOut)
-	}
-	return nil
-}
-
-// runChurnClusterExp is the E19 experiment: seeded churn events ride
-// the shard fabric as wire frames while the cluster serves roundtrips;
-// each shard repairs the affected set intersected with its owned nodes
-// behind its epoch fence, every batch is certified bit-identical to the
-// reference (and, with -certify, to a from-scratch build), and the
-// report compares serving throughput under fire against the stable
-// windows between batches.
-func runChurnClusterExp(n int, seed int64) error {
-	kind, err := schemeKind()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("# E19 — cluster churn: online repair through the shard fabric, certified under fire\n")
-	fmt.Printf("# n=%d seed=%d scheme=%s shards=%d placement=%s batches=%d events=%d certify=%v\n\n",
-		n, seed, trafficScheme, clusterShards, clusterPlacement, churnEpochs, churnEvents, churnCertify)
-
-	rng := rand.New(rand.NewSource(seed))
-	g := rtroute.RandomSC(n, 3*n, 64, rng)
-	sys, err := rtroute.NewSystemWith(g, rtroute.RandomNaming(n, rng),
-		rtroute.SystemConfig{Metric: rtroute.MetricLazy, LazyCacheRows: lazyCacheRows})
+		rtroute.SystemConfig{Metric: rtroute.MetricLazy})
 	if err != nil {
 		return err
 	}
@@ -133,6 +62,8 @@ func runChurnClusterExp(n int, seed int64) error {
 		EventsPerBatch: churnEvents,
 		FirePackets:    perPhase,
 		StablePackets:  perPhase,
+		MinWeight:      33,
+		MaxWeight:      64,
 		InFlight:       clusterInFlight,
 		Certify:        churnCertify,
 		Workload: rtroute.TrafficWorkload{
@@ -153,15 +84,15 @@ func runChurnClusterExp(n int, seed int64) error {
 	}
 	fmt.Print(res.Format())
 	fmt.Println("\nrepairs run behind per-shard epoch fences — in-flight roundtrips finish on the old epoch or fail typed, never hang")
-	if benchJSON {
+	if churnJSON {
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(churnOut, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %s\n", benchOut)
+		fmt.Printf("\nwrote %s\n", churnOut)
 	}
 	return nil
 }

@@ -15,9 +15,7 @@
 //	                                           # concurrent serving engine (E12/S3)
 //	rtbench -exp cluster -n 256 -shards 8 -placement rtz -packets 200000
 //	                                           # sharded cluster serving (E15/S6)
-//	rtbench -exp bench -json -out BENCH_PR6.json
-//	                                           # canonical perf suite -> trajectory artifact (E13)
-//	rtbench -exp churn -n 1024 -epochs 8 -rate 2 -packets 80000
+//	rtbench -exp churncluster -n 1024 -shards 1 -epochs 8 -events 1 -packets 80000
 //	                                           # dynamic topology: seeded churn, repair, certification (E17)
 //	rtbench -exp churncluster -n 256 -shards 8 -epochs 4 -events 4 -packets 40000
 //	                                           # churn through the shard fabric, certified under fire (E19)
@@ -32,20 +30,20 @@ import (
 	"strings"
 
 	"rtroute"
-	"rtroute/internal/benchsuite"
+	"rtroute/internal/core"
 )
 
 func main() {
 	var (
-		exp    = flag.String("exp", "fig1", "experiment: fig1|fig2|fig5|fig10|space|stretch|profile|lower|ablation|traffic|cluster|bench|churn|churncluster")
+		exp    = flag.String("exp", "fig1", "experiment: fig1|fig2|fig5|fig10|space|stretch|profile|lower|ablation|traffic|cluster|churncluster")
 		n      = flag.Int("n", 64, "number of nodes")
 		seed   = flag.Int64("seed", 1, "random seed")
 		ks     = flag.String("k", "2,3", "comma-separated tradeoff parameters")
 		metric = flag.String("metric", "dense", "distance oracle: dense|lazy")
 		cache  = flag.Int("lazy-cache", 0, "lazy oracle row-cache budget (0 = default)")
 	)
-	flag.BoolVar(&benchJSON, "json", false, "bench: also write the report as JSON")
-	flag.StringVar(&benchOut, "out", "BENCH_PR7.json", "bench: JSON output path (with -json)")
+	flag.BoolVar(&churnJSON, "json", false, "churncluster: also write the result as JSON")
+	flag.StringVar(&churnOut, "out", "churncluster.json", "churncluster: JSON output path (with -json)")
 	flag.IntVar(&trafficWorkers, "workers", 0, "traffic: serving goroutines (0 = GOMAXPROCS)")
 	flag.StringVar(&trafficWorkload, "workload", "zipf", "traffic: pair distribution: uniform|zipf|hotspot|rpc")
 	flag.Float64Var(&trafficZipf, "zipf", 0.9, "traffic: zipf skew theta in [0,1)")
@@ -54,11 +52,9 @@ func main() {
 	flag.IntVar(&clusterShards, "shards", 8, "cluster: number of serving shards")
 	flag.StringVar(&clusterPlacement, "placement", "contiguous", "cluster: node partition: contiguous|hash|rtz")
 	flag.IntVar(&clusterInFlight, "inflight", 0, "cluster: concurrent roundtrip window (0 = default)")
-	flag.IntVar(&churnEpochs, "epochs", 8, "churn: serve->churn->repair rounds (churncluster: event batches)")
+	flag.IntVar(&churnEpochs, "epochs", 8, "churncluster: churn->repair->certify batches")
 	flag.IntVar(&churnEvents, "events", 4, "churncluster: topology events per batch")
-	flag.Float64Var(&churnRate, "rate", 2, "churn: topology events per 10k served packets")
-	flag.Float64Var(&churnStale, "stale-frac", 0.05, "churn: pre-repair serving window as a fraction of the epoch quota")
-	flag.BoolVar(&churnCertify, "certify", true, "churn: certify the repaired plane bit-identical to a from-scratch build every epoch")
+	flag.BoolVar(&churnCertify, "certify", true, "churncluster: certify the reference replica bit-identical to a from-scratch build every batch")
 	flag.BoolVar(&servingTiming, "timing", false, "traffic/cluster: attach a telemetry sink and print the measured per-stage cost table")
 	flag.StringVar(&servingHTTP, "http", "", "traffic/cluster: serve live /metrics and /debug/pprof on this address during the run")
 	flag.Parse()
@@ -94,20 +90,16 @@ var (
 	clusterPlacement string
 	clusterInFlight  int
 
-	// -exp churn / churncluster knobs.
+	// -exp churncluster knobs.
 	churnEpochs  int
 	churnEvents  int
-	churnRate    float64
-	churnStale   float64
 	churnCertify bool
+	churnJSON    bool
+	churnOut     string
 
 	// serving telemetry knobs (-exp traffic and -exp cluster).
 	servingTiming bool
 	servingHTTP   string
-
-	// -exp bench knobs.
-	benchJSON bool
-	benchOut  string
 )
 
 func newSystem(g *rtroute.Graph, naming *rtroute.Naming) (*rtroute.System, error) {
@@ -151,37 +143,11 @@ func run(exp string, n int, seed int64, ks []int) error {
 		return runTraffic(n, seed)
 	case "cluster":
 		return runCluster(n, seed)
-	case "bench":
-		return runBench()
-	case "churn":
-		return runChurnExp(n, seed)
 	case "churncluster":
 		return runChurnClusterExp(n, seed)
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
-}
-
-// runBench executes the canonical perf suite (E13) and optionally writes
-// the BENCH_PR<k>.json trajectory artifact.
-func runBench() error {
-	fmt.Println("# E13 — canonical perf suite (Dijkstra, EdgeByPort, MetricBuild, TrafficThroughput)")
-	fmt.Println("# each row runs ~1s of iterations; see DESIGN.md \"Hot-path engineering\"")
-	fmt.Println()
-	rep := benchsuite.Run()
-	fmt.Print(rep.Format())
-	if !benchJSON {
-		return nil
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(benchOut, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %s\n", benchOut)
-	return nil
 }
 
 // buildServingScheme builds the -scheme plane for the serving
@@ -331,13 +297,13 @@ func runProfile(n int, seed int64) error {
 		return err
 	}
 	for _, b := range []struct {
-		name  string
-		build func() (rtroute.Scheme, error)
+		name string
+		kind rtroute.SchemeKind
 	}{
-		{"stretch6", func() (rtroute.Scheme, error) { return sys.BuildStretchSix(seed) }},
-		{"polystretch k=2", func() (rtroute.Scheme, error) { return sys.BuildPolynomial(2) }},
+		{"stretch6", rtroute.StretchSix},
+		{"polystretch k=2", rtroute.Polynomial},
 	} {
-		sch, err := b.build()
+		sch, err := sys.Build(b.kind, rtroute.WithSeed(seed))
 		if err != nil {
 			return err
 		}
@@ -359,10 +325,11 @@ func runFig5(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	ex, err := sys.BuildExStretch(4, seed)
+	sch, err := sys.Build(rtroute.ExStretch, rtroute.WithK(4), rtroute.WithSeed(seed))
 	if err != nil {
 		return err
 	}
+	ex := sch.(*core.ExStretch)
 	printed := 0
 	for src := 0; src < n && printed < 3; src++ {
 		dst := (src*37 + n/2) % n
@@ -398,10 +365,11 @@ func runFig10(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	poly, err := sys.BuildPolynomial(2)
+	sch, err := sys.Build(rtroute.Polynomial, rtroute.WithK(2))
 	if err != nil {
 		return err
 	}
+	poly := sch.(*core.PolynomialStretch)
 	src := sys.Naming.Name(0)
 	dst := sys.Naming.Name(int32(n / 2))
 	tr, err := poly.Roundtrip(src, dst)
@@ -444,10 +412,11 @@ func runFig2(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	s6, err := sys.BuildStretchSix(seed)
+	sch, err := sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed))
 	if err != nil {
 		return err
 	}
+	s6 := sch.(*core.StretchSix)
 	fmt.Printf("%-8s %-20s\n", "node", "neighborhood size")
 	for v := 0; v < n && v < 12; v++ {
 		fmt.Printf("%-8d %-20d\n", v, s6.NeighborhoodEntries(rtroute.NodeID(v)))
@@ -482,18 +451,18 @@ func runStretch(n int, seed int64, ks []int) error {
 		sch   rtroute.Scheme
 	}
 	var builds []build
-	s6, err := sys.BuildStretchSix(seed)
+	s6, err := sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed))
 	if err != nil {
 		return err
 	}
 	builds = append(builds, build{"stretch6", "6", s6})
 	for _, k := range ks {
-		ex, err := sys.BuildExStretch(k, seed)
+		ex, err := sys.Build(rtroute.ExStretch, rtroute.WithK(k), rtroute.WithSeed(seed))
 		if err != nil {
 			return err
 		}
 		builds = append(builds, build{fmt.Sprintf("exstretch k=%d", k), fmt.Sprintf("(2^%d-1)*hop", k), ex})
-		poly, err := sys.BuildPolynomial(k)
+		poly, err := sys.Build(rtroute.Polynomial, rtroute.WithK(k))
 		if err != nil {
 			return err
 		}
@@ -520,7 +489,7 @@ func runLower(n int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	s6, err := sys.BuildStretchSix(seed)
+	s6, err := sys.Build(rtroute.StretchSix, rtroute.WithSeed(seed))
 	if err != nil {
 		return err
 	}
@@ -555,7 +524,7 @@ func runAblation(n int, seed int64) error {
 		{"ball-growing base=2", rtroute.CoverBallGrowing, 2},
 		{"awerbuch-peleg base=1.5", rtroute.CoverAwerbuchPeleg, 1.5},
 	} {
-		poly, err := sys.BuildPolynomialVariant(2, v.base, v.cv)
+		poly, err := sys.Build(rtroute.Polynomial, rtroute.WithK(2), rtroute.WithScaleBase(v.base), rtroute.WithCoverVariant(v.cv))
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -574,24 +543,17 @@ func runAblation(n int, seed int64) error {
 	// actually fire, so the return-policy variants can diverge.
 	sparse := rtroute.BlockOptions{Boost: 1.2}
 	variants := []struct {
-		name  string
-		build func() (rtroute.Scheme, error)
+		name string
+		kind rtroute.SchemeKind
+		cfg  rtroute.BuildConfig
 	}{
-		{"stretch6", func() (rtroute.Scheme, error) {
-			return sys.BuildStretchSixWith(seed, rtroute.Stretch6Options{Blocks: sparse})
-		}},
-		{"stretch6 via-source", func() (rtroute.Scheme, error) {
-			return sys.BuildStretchSixWith(seed, rtroute.Stretch6Options{Blocks: sparse, ViaSource: true})
-		}},
-		{"exstretch k=2", func() (rtroute.Scheme, error) {
-			return sys.BuildExStretchWith(seed, rtroute.ExStretchOptions{K: 2, Blocks: sparse})
-		}},
-		{"exstretch k=2 direct-return", func() (rtroute.Scheme, error) {
-			return sys.BuildExStretchWith(seed, rtroute.ExStretchOptions{K: 2, Blocks: sparse, DirectReturn: true})
-		}},
+		{"stretch6", rtroute.StretchSix, rtroute.BuildConfig{Seed: seed, Blocks: sparse}},
+		{"stretch6 via-source", rtroute.StretchSix, rtroute.BuildConfig{Seed: seed, Blocks: sparse, ViaSource: true}},
+		{"exstretch k=2", rtroute.ExStretch, rtroute.BuildConfig{Seed: seed, Blocks: sparse}},
+		{"exstretch k=2 direct-return", rtroute.ExStretch, rtroute.BuildConfig{Seed: seed, Blocks: sparse, DirectReturn: true}},
 	}
 	for _, v := range variants {
-		sch, err := v.build()
+		sch, err := sys.BuildWith(v.kind, v.cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", v.name, err)
 		}

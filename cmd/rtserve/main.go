@@ -47,10 +47,7 @@ import (
 	"time"
 
 	"rtroute"
-	"rtroute/internal/churn"
 	"rtroute/internal/cluster"
-	"rtroute/internal/core"
-	"rtroute/internal/graph"
 	"rtroute/internal/telemetry"
 	"rtroute/internal/wire"
 )
@@ -112,16 +109,26 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 	if err != nil {
 		return err
 	}
-	var repairHook func(uint64, []churn.Event) error
+	// Online repair: a private replica — a clone of the snapshot graph
+	// and the same scheme rebuilt from the operator-supplied build seed,
+	// so its tables start bit-identical to the snapshot every other
+	// daemon restored. Under the epoch fence, each churn batch rebuilds
+	// the affected set intersected with this daemon's owned slice and
+	// rebinds the serving deployment to the repaired plane. In-flight
+	// roundtrips finish on the pre-fence epoch or come back as typed
+	// drops; nothing ever sees a half-patched table.
+	var repairHook func(uint64, []rtroute.ChurnEvent) error
 	if repairSpec != "" {
 		seed, err := strconv.ParseInt(repairSpec, 10, 64)
 		if err != nil {
 			return fmt.Errorf("-repair: %w", err)
 		}
-		repairHook, err = armRepair(dep, view, seed, repairK)
+		rep, err := rtroute.NewReplica(dep.Graph(), dep.Naming(), dep.Kind(),
+			rtroute.BuildConfig{Seed: seed, K: repairK}, rtroute.DamperOptions{})
 		if err != nil {
 			return fmt.Errorf("arming repair: %w", err)
 		}
+		repairHook = rep.RepairHook(dep, view.Owns)
 		fmt.Printf("shard %d: online repair armed (build seed %d, k %d)\n", shard, seed, repairK)
 	}
 	dep.Graph().Seal()
@@ -145,16 +152,7 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 		Repair: repairHook,
 	})
 	if repairHook != nil {
-		sink.RegisterGauge("churn_drops_total", func() float64 { d, _, _, _ := sh.ChurnStats(); return float64(d) })
-		sink.RegisterGauge("churn_misroutes_total", func() float64 { _, m, _, _ := sh.ChurnStats(); return float64(m) })
-		sink.RegisterGauge("churn_repairs_total", func() float64 { _, _, r, _ := sh.ChurnStats(); return float64(r) })
-		sink.RegisterGauge("churn_repair_ns_mean", func() float64 {
-			_, _, r, ns := sh.ChurnStats()
-			if r == 0 {
-				return 0
-			}
-			return float64(ns) / float64(r)
-		})
+		cluster.RegisterChurnGauges(sink, sh)
 	}
 	fmt.Printf("shard %d/%d serving %d of %d nodes (%s placement) on %s with %d workers\n",
 		shard, len(addrs), view.NodeCount(), dep.Graph().N(), place.Policy, tr.Addr(), workers)
@@ -208,67 +206,6 @@ func run(shard int, addrsSpec, load, placement string, workers, batch int,
 		fmt.Printf("\nstage timing (per completed roundtrip)\n%s", telemetry.FormatStageTable(rows, 0))
 	}
 	return err
-}
-
-// armRepair builds the daemon's private repair replica: a clone of the
-// snapshot graph, the same scheme rebuilt from the operator-supplied
-// build seed — so its tables start bit-identical to the snapshot every
-// other daemon restored — and a churn overlay over the clone. The
-// returned hook is the shard's Options.Repair: applied under the epoch
-// fence with batches in sequence order, it folds the events into the
-// overlay, rebuilds the affected set intersected with this daemon's
-// owned slice, and rebinds the serving deployment to the repaired
-// plane. In-flight roundtrips finish on the pre-fence epoch or come
-// back as typed drops; nothing ever sees a half-patched table.
-func armRepair(dep *core.Deployment, view *core.ShardView, seed int64, k int) (func(uint64, []churn.Event) error, error) {
-	g := dep.Graph().Clone()
-	sys, err := rtroute.NewSystemWith(g, dep.Naming(), rtroute.SystemConfig{Metric: rtroute.MetricLazy})
-	if err != nil {
-		return nil, err
-	}
-	m, err := sys.BuildMaintained(dep.Kind(), rtroute.WithSeed(seed), rtroute.WithK(k))
-	if err != nil {
-		return nil, err
-	}
-	ov, err := churn.NewOverlay(g, churn.NewDamper(churn.DamperConfig{}))
-	if err != nil {
-		return nil, err
-	}
-	seen := make([]bool, g.N())
-	return func(seq uint64, events []churn.Event) error {
-		var dirty []graph.NodeID
-		add := func(ds []graph.NodeID) {
-			for _, d := range ds {
-				if !seen[d] {
-					seen[d] = true
-					dirty = append(dirty, d)
-				}
-			}
-		}
-		var at float64
-		for _, ev := range events {
-			ds, err := ov.Apply(ev)
-			if err != nil {
-				return fmt.Errorf("churn batch %d: %w", seq, err)
-			}
-			add(ds)
-			at = ev.At
-		}
-		released, err := ov.Advance(at)
-		if err != nil {
-			return fmt.Errorf("churn batch %d: %w", seq, err)
-		}
-		add(released)
-		for _, d := range dirty {
-			seen[d] = false
-		}
-		churn.SortNodeIDs(dirty)
-		if _, err := m.RebuildNodesFor(dirty, view.Owns); err != nil {
-			return fmt.Errorf("churn batch %d: %w", seq, err)
-		}
-		dep.Rebind(m.Plane())
-		return nil
-	}, nil
 }
 
 // drainThenClose watches the sink's counters until they hold still for

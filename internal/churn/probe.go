@@ -7,11 +7,13 @@ import (
 )
 
 // This file is the bounded affected-set probe: the same may-use set as
-// Affected at half the Dijkstra bill, plus two frontier walks that stop
+// the exact eight-Dijkstra reference (the four rows anchored at u and v
+// on the old graph and the same four on the new; exactAffected in the
+// tests) at half the Dijkstra bill, plus two frontier walks that stop
 // at the first unaffected node.
 //
-// Affected's eight rows exist only to evaluate two equalities per graph
-// configuration: x is source-affected when d(x,v) = d(x,u) + w (some
+// The reference's eight rows exist only to evaluate two equalities per
+// graph configuration: x is source-affected when d(x,v) = d(x,u) + w (some
 // shortest path from x to v crosses the edge), destination-affected
 // when d(u,y) = w + d(v,y). The probe evaluates each equality set
 // without the second row of its pair:
@@ -32,8 +34,8 @@ import (
 // frontier node that breaks the tightness equality. Old plus new
 // configuration: 4 full Dijkstras instead of 8, and the closure cost
 // is proportional to the affected set, near zero in the common case
-// where neither endpoint test fires. The result is the same set
-// Affected returns, node for node — the superset property the
+// where neither endpoint test fires. The result is the same set the
+// reference returns, node for node — the superset property the
 // maintainers need holds as equality.
 
 // Prober computes bounded affected sets with reusable scratch: two
@@ -56,10 +58,19 @@ type Prober struct {
 // NewProber returns a prober sized lazily to the graphs it probes.
 func NewProber() *Prober { return &Prober{} }
 
-// Affected is the bounded probe, with Affected's exact contract: it
-// mutates edge (u, v) of g to weight wNew and returns the sorted
-// may-use affected node set. The returned slice is owned by the caller;
-// the prober's scratch is reused across calls.
+// Affected mutates edge (u, v) of g to weight wNew and returns the
+// may-use affected node set: a sorted superset of every node whose
+// shortest-path distance rows — in either direction, counting ties —
+// differ between the old and new graph. A node x is source-affected iff
+// some shortest path from x uses (or newly ties with) the edge, which
+// on either graph is the equality d(x,v) = d(x,u) + w;
+// destination-affected symmetrically via d(u,y) = w + d(v,y). Checking
+// the equalities on both the pre- and post-mutation graphs captures
+// destroyed ties (weight increases) and created ties (decreases).
+// Nodes outside the set keep bit-identical Dijkstra outcomes —
+// distances and deterministic parent choices — in every solver the
+// schemes run. The returned slice is owned by the caller; the prober's
+// scratch is reused across calls.
 func (p *Prober) Affected(g *graph.Graph, u, v graph.NodeID, wNew graph.Dist) []graph.NodeID {
 	n := g.N()
 	if p.fwd == nil {
@@ -147,10 +158,4 @@ func (p *Prober) visit(x graph.NodeID) {
 	p.seen[x] = p.seenEpoch
 	p.mark[x] = p.epoch
 	p.queue = append(p.queue, x)
-}
-
-// AffectedBounded is the one-shot form of Prober.Affected, for callers
-// without a probe stream to amortize scratch over.
-func AffectedBounded(g *graph.Graph, u, v graph.NodeID, wNew graph.Dist) []graph.NodeID {
-	return NewProber().Affected(g, u, v, wNew)
 }

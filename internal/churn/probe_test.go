@@ -70,8 +70,8 @@ func probeStream(t testing.TB, n int, seed int64, events int,
 func TestBoundedAffectedSetSupersetOfExact(t *testing.T) {
 	for _, n := range []int{24, 64, 128} {
 		probeStream(t, n, int64(100+n), 60, func(gx, gb *graph.Graph, u, v graph.NodeID, wNew graph.Dist) {
-			exact := Affected(gx, u, v, wNew)
-			bounded := AffectedBounded(gb, u, v, wNew)
+			exact := exactAffected(gx, u, v, wNew)
+			bounded := NewProber().Affected(gb, u, v, wNew)
 			inB := make(map[graph.NodeID]bool, len(bounded))
 			for _, x := range bounded {
 				inB[x] = true
@@ -128,8 +128,8 @@ func FuzzChurnEventStream(f *testing.F) {
 			if wNew == graph.DownWeight && !liveStronglyConnected(gx, linkID{u, v}) {
 				continue
 			}
-			exact := Affected(gx, u, v, wNew)
-			bounded := AffectedBounded(gb, u, v, wNew)
+			exact := exactAffected(gx, u, v, wNew)
+			bounded := NewProber().Affected(gb, u, v, wNew)
 			inB := make(map[graph.NodeID]bool, len(bounded))
 			for _, x := range bounded {
 				inB[x] = true
@@ -176,7 +176,7 @@ func benchProbe(b *testing.B, n int, bounded bool) {
 		if bounded {
 			p.Affected(g, ed[0], ed[1], w)
 		} else {
-			Affected(g, ed[0], ed[1], w)
+			exactAffected(g, ed[0], ed[1], w)
 		}
 	}
 }

@@ -9,9 +9,9 @@
 // A shard owns a subset of nodes (Placement: contiguous, hashed, or
 // aligned to the scheme's own stretch-3 clusters) and forwards packets
 // hop by hop with only its nodes' local state (core.ShardView). When a
-// packet's next node belongs to another shard, the live header is
-// marshaled (wire.MarshalHeader) into a packet frame together with the
-// roundtrip's routing preamble and shipped to the owner, who resumes
+// packet's next node belongs to another shard, the live header rides
+// in a fixed-layout flight frame (wire.AppendFlightFrame) together with
+// the roundtrip's routing preamble and is shipped to the owner, who resumes
 // the leg exactly where it stopped — sim.FlySegment makes the chain of
 // per-shard segments hop-for-hop identical to one single-process fly
 // loop, which is what the route-identity tests certify against

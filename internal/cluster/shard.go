@@ -321,6 +321,32 @@ func (s *Shard) ChurnStats() (drops, misroutes, repairs, repairNanos int64) {
 	return s.drops.Load(), s.misroutes.Load(), s.repairs.Load(), s.repairNanos.Load()
 }
 
+// ChurnTotals sums ChurnStats over shards.
+func ChurnTotals(shards ...*Shard) (drops, misroutes, repairs, repairNanos int64) {
+	for _, s := range shards {
+		d, m, r, ns := s.ChurnStats()
+		drops, misroutes, repairs, repairNanos = drops+d, misroutes+m, repairs+r, repairNanos+ns
+	}
+	return drops, misroutes, repairs, repairNanos
+}
+
+// RegisterChurnGauges publishes the shards' summed churn counters on
+// sink: churn_drops_total, churn_misroutes_total, churn_repairs_total
+// and churn_repair_ns_mean (whole nanoseconds per repair, 0 before the
+// first). A nil sink registers nothing.
+func RegisterChurnGauges(sink *telemetry.Sink, shards ...*Shard) {
+	sink.RegisterGauge("churn_drops_total", func() float64 { d, _, _, _ := ChurnTotals(shards...); return float64(d) })
+	sink.RegisterGauge("churn_misroutes_total", func() float64 { _, m, _, _ := ChurnTotals(shards...); return float64(m) })
+	sink.RegisterGauge("churn_repairs_total", func() float64 { _, _, r, _ := ChurnTotals(shards...); return float64(r) })
+	sink.RegisterGauge("churn_repair_ns_mean", func() float64 {
+		_, _, r, ns := ChurnTotals(shards...)
+		if r == 0 {
+			return 0
+		}
+		return float64(ns / r)
+	})
+}
+
 // hists merges the shard's histograms and samples into the caller's.
 func (s *Shard) hists(hop, hdr *eval.Hist, samples *[]traffic.Sample) {
 	for i := range s.workers {
@@ -585,35 +611,6 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 	case wire.FrameInject:
 		t, err = s.inject(st, f, in.Conn, t)
 		return false, t, err
-	case wire.FramePacket:
-		// The legacy varint packet frame: still decoded (older clients,
-		// hostile-input resilience), re-framed as a flight frame at its
-		// next crossing.
-		st.stats.FramesIn++
-		// A packet frame's routing fields are untrusted input on the
-		// network transport: validate them before any array access.
-		if err := checkName(s.view, f.SrcName); err != nil {
-			return false, t, err
-		}
-		if err := checkName(s.view, f.DstName); err != nil {
-			return false, t, err
-		}
-		if f.At < 0 || int(f.At) >= s.view.Graph().N() {
-			return false, t, fmt.Errorf("cluster: packet frame at node %d outside [0,%d)", f.At, s.view.Graph().N())
-		}
-		h, err := st.hdec.DecodeBare(f.Header)
-		if err != nil {
-			return false, t, err
-		}
-		f.Header = nil
-		t = st.p.Lap(telemetry.StageDecode, t)
-		var fl sim.Flight
-		if !f.Return {
-			fl = flightOf(f.Out, f.At)
-		} else {
-			fl = flightOf(f.Back, f.At)
-		}
-		return s.advance(st, f, h, fl, nil, wire.FlightState{}, t)
 	case wire.FrameDone, wire.FrameDrop:
 		// A completion (or lossy-completion) report passing through its
 		// home shard on the way back to the client connection that
@@ -621,7 +618,7 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 		err := s.tr.Reply(f.Origin, in.Data)
 		return false, st.p.Lap(telemetry.StageSend, t), err
 	case wire.FrameInfoReq:
-		data, err := wire.MarshalFrame(&s.info, nil)
+		data, err := wire.MarshalFrame(&s.info)
 		if err != nil {
 			return false, t, err
 		}
@@ -656,7 +653,6 @@ func (s *Shard) handleFlight(st *shardWorker, in InFrame, t int64) (bool, int64,
 	if err != nil {
 		return false, t, err
 	}
-	f.Header = nil
 	t = st.p.Lap(telemetry.StageDecode, t)
 	if st.p.Traced(f.Rt) {
 		hops := int32(f.Out.Hops + f.Back.Hops)
@@ -733,7 +729,7 @@ func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (in
 		// Header creation is the source's job: route the inject to
 		// the shard that owns the source node.
 		f.Kind = wire.FrameInject
-		data, err := wire.AppendFrame(st.outBuf(), f, nil)
+		data, err := wire.AppendFrame(st.outBuf(), f)
 		if err != nil {
 			return t, err
 		}
@@ -908,7 +904,7 @@ func (s *Shard) complete(st *shardWorker, f *wire.Frame, t int64) (int64, error)
 		Out: f.Out, Back: f.Back, Origin: f.Origin, Rt: f.Rt, Sampled: f.Sampled,
 	}
 	t = st.p.Lap(telemetry.StageComplete, t)
-	data, err := wire.AppendFrame(st.outBuf(), &done, nil)
+	data, err := wire.AppendFrame(st.outBuf(), &done)
 	if err != nil {
 		return t, err
 	}
@@ -942,7 +938,7 @@ func (s *Shard) lose(st *shardWorker, f *wire.Frame, reason byte, t int64) (int6
 		Origin: f.Origin, Rt: f.Rt, Reason: reason,
 	}
 	t = st.p.Lap(telemetry.StageComplete, t)
-	data, err := wire.AppendFrame(st.outBuf(), &drop, nil)
+	data, err := wire.AppendFrame(st.outBuf(), &drop)
 	if err != nil {
 		return t, err
 	}

@@ -148,12 +148,13 @@ func TestTCPLoopback(t *testing.T) {
 			}
 		}(ss[i])
 	}
-	defer func() {
+	stop := sync.OnceFunc(func() {
 		for _, tr := range trs {
 			tr.Close()
 		}
 		wg.Wait()
-	}()
+	})
+	defer stop()
 
 	cl, err := DialClient(addrs[0])
 	if err != nil {
@@ -212,31 +213,45 @@ func TestTCPLoopback(t *testing.T) {
 	}
 
 	// Hostile but well-formed frames must not take the daemon down
-	// either: an out-of-range At (would index the placement), and
-	// negative leg totals (would inflate the hop budget).
-	hostile, err := wire.MarshalFrame(&wire.Frame{
-		Kind: wire.FramePacket, SrcName: 1, DstName: 2, At: -7,
-		Home: wire.HomeLocal, Header: []byte{0xff},
-	}, nil)
+	// either: flight frames with an out-of-range At (would index the
+	// placement) and negative leg totals (would inflate the hop budget),
+	// and a frame of the retired kind 1, which no longer decodes.
+	h, err := dep.NewHeader(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&tcpConn{c: cl.conn}).writeFrame(hostile); err != nil {
+	hostileAt, err := wire.AppendFlightFrame(nil, &wire.Frame{
+		Kind: wire.FrameFlight, SrcName: 1, DstName: 2, At: -7, Home: wire.HomeLocal,
+	}, h, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	negHops, err := wire.MarshalFrame(&wire.Frame{
-		Kind: wire.FramePacket, SrcName: 1, DstName: 2, At: 0,
+	negHops, err := wire.AppendFlightFrame(nil, &wire.Frame{
+		Kind: wire.FrameFlight, SrcName: 1, DstName: 2, At: 0,
 		Out:  wire.LegTotals{Hops: -1 << 30},
-		Home: wire.HomeLocal, Header: []byte{0xff},
-	}, nil)
+		Home: wire.HomeLocal,
+	}, h, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (&tcpConn{c: cl.conn}).writeFrame(negHops); err != nil {
+	retired, err := wire.MarshalFrame(&wire.Frame{Kind: wire.FrameInject, SrcName: 1, DstName: 2, Home: wire.HomeClient})
+	if err != nil {
 		t.Fatal(err)
+	}
+	retired[6] = 1 // the frame kind slot
+	for _, bad := range [][]byte{hostileAt, negHops, retired} {
+		if err := (&tcpConn{c: cl.conn}).writeFrame(bad); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, _, err := cl.Roundtrip(2, 9); err != nil {
 		t.Fatalf("roundtrip after hostile frames: %v", err)
+	}
+	// Stop the daemons so the counters are final: the garbage segment
+	// and the three hostile frames are each one error on shard 0.
+	stop()
+	if st := ss[0].Stats(); st.Errors != 4 {
+		t.Fatalf("shard 0 counted %d errors, want 4 (garbage + 3 hostile frames)", st.Errors)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // *reads* almost none of it — it needs the current node, the running
 // leg totals and the roundtrip routing preamble, and it mutates at most
 // one scheme byte per segment (the rtz leg phase, the hop descent
-// flag). The varint frame (FramePacket) makes every crossing pay a full
-// header decode and re-encode; the flight frame puts everything a
+// flag). A varint frame would make every crossing pay a full header
+// decode and re-encode; the flight frame puts everything a
 // forwarding shard reads at fixed offsets, leaves the big label blobs
 // as opaque byte ranges copied verbatim (or not copied at all: a clean
 // crossing patches the received buffer in place and ships it onward),
@@ -238,8 +238,8 @@ func word16(w int) (uint16, error) {
 }
 
 // UnmarshalFlightFrame decodes a flight frame's preamble into *f
-// (overwriting every field). f.Header aliases the header section
-// (kind byte included); decode it with HeaderDecoder.DecodeFlight.
+// (overwriting every field). f keeps aliasing data's header section
+// for HeaderDecoder.DecodeFlight, so decode before recycling data.
 func UnmarshalFlightFrame(data []byte, f *Frame) error {
 	if len(data) < flightMinLen {
 		return fmt.Errorf("wire: flight frame: %d bytes, need at least %d", len(data), flightMinLen)
@@ -289,27 +289,27 @@ func UnmarshalFlightFrame(data []byte, f *Frame) error {
 	if f.Back, err = getFlightTotals(data[flightOffBack:]); err != nil {
 		return err
 	}
-	f.Header = data[flightOffKind:]
+	f.section = data[flightOffKind:]
 	return nil
 }
 
 // DecodeFlight decodes the header section of a flight frame previously
 // opened with UnmarshalFlightFrame, into the decoder's reusable scratch
-// storage (same reuse contract as DecodeBare). Label blobs that only
+// storage (same reuse contract as Decode). Label blobs that only
 // the roundtrip's endpoints read are decoded when loc owns the relevant
 // endpoint and left zero otherwise — the undecoded bytes stay in the
 // received frame, which AppendFlightFrame copies verbatim and
 // RepatchFlight never touches. The returned FlightState snapshots the
 // patch-relevant scalars.
 func (hd *HeaderDecoder) DecodeFlight(f *Frame, loc Locality) (sim.Header, FlightState, error) {
-	if f.Kind != FrameFlight || len(f.Header) < 2 {
+	if f.Kind != FrameFlight || len(f.section) < 2 {
 		return nil, FlightState{}, fmt.Errorf("wire: DecodeFlight needs an unmarshaled flight frame")
 	}
 	hd.light.reset()
 	hd.wps.reset()
 	hd.glbs.reset()
-	kind := core.Kind(f.Header[0])
-	sec := f.Header[1:]
+	kind := core.Kind(f.section[0])
+	sec := f.section[1:]
 	switch kind {
 	case core.KindStretchSix:
 		hh, ok := hd.scratch.(*core.S6Header)
@@ -660,8 +660,8 @@ func RepatchFlight(data []byte, f *Frame, h sim.Header) error {
 // appending to dst. prev, when non-nil, must be the flight frame h was
 // decoded from (lazily): the label blobs the decoder skipped are copied
 // from prev verbatim, so a frame stays byte-stable across shards that
-// never read those labels. prev == nil (injection, or arrival in the
-// legacy varint form) encodes every blob from the fully decoded struct.
+// never read those labels. prev == nil (injection) encodes every blob
+// from the fully decoded struct.
 func AppendFlightFrame(dst []byte, f *Frame, h sim.Header, prev []byte) ([]byte, error) {
 	k, err := headerKind(h)
 	if err != nil {

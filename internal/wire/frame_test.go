@@ -6,9 +6,10 @@ import (
 	"testing"
 )
 
-// TestFrameRoundtrip locks the frame codec: every kind encodes and
-// decodes bit-identically, and a packet frame's embedded header decodes
-// back to a header with the original word count.
+// TestFrameRoundtrip locks the frame codecs: a flight frame's preamble
+// decodes bit-identically and its header section decodes back to a
+// header with the original word count; every control kind encodes and
+// decodes bit-identically.
 func TestFrameRoundtrip(t *testing.T) {
 	planes, _ := testPlanes(t, 16, 31)
 	for name, p := range planes {
@@ -17,32 +18,33 @@ func TestFrameRoundtrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		in := Frame{
-			Kind: FramePacket, SrcName: 4, DstName: 9, Return: true, At: 7,
+			Kind: FrameFlight, SrcName: 4, DstName: 9, Return: true, At: 7,
 			Out:  LegTotals{Hops: 3, Weight: 41, MaxHeaderWords: 12},
 			Back: LegTotals{Hops: 1, Weight: 5, MaxHeaderWords: 12},
-			Home: 2, Origin: 99, Sampled: true,
+			Home: 2, Origin: 99, Rt: 5, Sampled: true,
 		}
-		blob, err := MarshalFrame(&in, h)
+		blob, err := AppendFlightFrame(nil, &in, h, nil)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", name, err)
 		}
 		var out Frame
-		if err := UnmarshalFrame(blob, &out); err != nil {
+		if err := UnmarshalFlightFrame(blob, &out); err != nil {
 			t.Fatalf("%s: unmarshal: %v", name, err)
 		}
-		hdr := out.Header
-		out.Header = nil
-		in.Header = nil
+		var hdec HeaderDecoder
+		h2, _, err := hdec.DecodeFlight(&out, ownsAll{})
+		if err != nil {
+			t.Fatalf("%s: header section: %v", name, err)
+		}
+		if h2.Words() != h.Words() {
+			t.Fatalf("%s: header words %d, want %d", name, h2.Words(), h.Words())
+		}
+		out.section = nil
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("%s: preamble mismatch:\n in: %+v\nout: %+v", name, in, out)
 		}
-		var hdec HeaderDecoder
-		h2, err := hdec.DecodeBare(hdr)
-		if err != nil {
-			t.Fatalf("%s: embedded header: %v", name, err)
-		}
-		if h2.Words() != h.Words() {
-			t.Fatalf("%s: embedded header words %d, want %d", name, h2.Words(), h.Words())
+		if err := UnmarshalFrame(blob, &out); err == nil {
+			t.Fatalf("%s: UnmarshalFrame accepted a flight frame", name)
 		}
 	}
 
@@ -54,7 +56,7 @@ func TestFrameRoundtrip(t *testing.T) {
 		{Kind: FrameInfoReq},
 		{Kind: FrameInfo, SchemeKind: 2, Nodes: 1024, Shards: 8},
 	} {
-		blob, err := MarshalFrame(&in, nil)
+		blob, err := MarshalFrame(&in)
 		if err != nil {
 			t.Fatalf("kind %d: marshal: %v", in.Kind, err)
 		}
@@ -65,18 +67,17 @@ func TestFrameRoundtrip(t *testing.T) {
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("kind %d mismatch:\n in: %+v\nout: %+v", in.Kind, in, out)
 		}
-		if in.Kind != FramePacket {
-			if err := UnmarshalFrame(append(blob, 0), &out); err == nil {
-				t.Fatalf("kind %d: trailing garbage accepted", in.Kind)
-			}
+		if err := UnmarshalFrame(append(blob, 0), &out); err == nil {
+			t.Fatalf("kind %d: trailing garbage accepted", in.Kind)
 		}
 	}
 }
 
-// TestFrameDecodeRejects locks strictness: truncation, bad kinds and a
-// missing header section all error.
+// TestFrameDecodeRejects locks strictness: truncation and unknown
+// kinds — the reserved kind 1 of the retired varint packet frame
+// included — all error, unknown kinds typed.
 func TestFrameDecodeRejects(t *testing.T) {
-	blob, err := MarshalFrame(&Frame{Kind: FrameInject, SrcName: 1, DstName: 2, Home: HomeLocal}, nil)
+	blob, err := MarshalFrame(&Frame{Kind: FrameInject, SrcName: 1, DstName: 2, Home: HomeLocal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,21 +87,15 @@ func TestFrameDecodeRejects(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	bad := append([]byte(nil), blob...)
-	bad[6] = 77 // frame kind slot
-	if err := UnmarshalFrame(bad, &f); err == nil {
-		t.Fatal("unknown frame kind accepted")
-	}
-	if _, err := MarshalFrame(&Frame{Kind: 77}, nil); err == nil {
-		t.Fatal("unknown frame kind encoded")
-	}
-	// A packet frame must carry a header section.
-	pkt, err := MarshalFrame(&Frame{Kind: FramePacket, Header: []byte{1}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := UnmarshalFrame(pkt[:len(pkt)-1], &f); err == nil {
-		t.Fatal("packet frame without header accepted")
+	for _, kind := range []FrameKind{1, 77} {
+		bad := append([]byte(nil), blob...)
+		bad[6] = byte(kind) // frame kind slot
+		if err := UnmarshalFrame(bad, &f); !errors.Is(err, ErrUnknownFrameKind) {
+			t.Fatalf("kind %d: decode got %v, want ErrUnknownFrameKind", kind, err)
+		}
+		if _, err := MarshalFrame(&Frame{Kind: kind}); !errors.Is(err, ErrUnknownFrameKind) {
+			t.Fatalf("kind %d: encode got %v, want ErrUnknownFrameKind", kind, err)
+		}
 	}
 }
 

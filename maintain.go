@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 
+	"rtroute/internal/churn"
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
 	"rtroute/internal/rtz"
@@ -164,6 +165,104 @@ func (m *Maintained) Certify() error {
 		return fmt.Errorf("rtroute: certification rebuild: %w", err)
 	}
 	return CertifyIdentical(m.plane, fresh)
+}
+
+// Replica is one repairer's private copy of a maintained scheme: a
+// clone of the graph, the scheme rebuilt from the same seed — so its
+// tables start bit-identical to every other replica of that graph and
+// to a snapshot of the same build — and a damped churn overlay over the
+// clone. RunChurnCluster gives every shard one, plus a reference, and
+// rtserve -repair arms one per daemon. Nothing is shared between
+// replicas, so a repair is a genuinely local act. A replica absorbs one
+// event batch at a time and is not safe for concurrent use.
+type Replica struct {
+	*Maintained
+	ov    *churn.Overlay
+	seen  []bool   // dirty-union scratch
+	dirty []NodeID // the pending batch's union affected set
+	at    float64  // the pending batch's last event time
+}
+
+// NewReplica clones g and builds a maintained scheme of the given kind
+// over the clone with a lazy (mutation-tracking) oracle.
+func NewReplica(g *Graph, naming *Naming, kind SchemeKind, cfg BuildConfig, damper DamperOptions) (*Replica, error) {
+	gc := g.Clone()
+	sys, err := NewSystemWith(gc, naming, SystemConfig{Metric: MetricLazy})
+	if err != nil {
+		return nil, err
+	}
+	m, err := sys.BuildMaintained(kind, func(c *BuildConfig) { *c = cfg })
+	if err != nil {
+		return nil, err
+	}
+	ov, err := churn.NewOverlay(gc, churn.NewDamper(damper))
+	if err != nil {
+		return nil, err
+	}
+	return &Replica{Maintained: m, ov: ov, seen: make([]bool, gc.N())}, nil
+}
+
+// Apply folds one event into the overlay (mutating the replica's
+// graph) and its affected set into the pending batch.
+func (r *Replica) Apply(ev ChurnEvent) error {
+	ds, err := r.ov.Apply(ev)
+	if err != nil {
+		return err
+	}
+	r.union(ds)
+	r.at = ev.At
+	return nil
+}
+
+// Settle closes the pending batch: it advances the damper clock to the
+// batch's last event, releasing links whose deferred recovery is now
+// allowed, and returns the sorted union of every affected set — the
+// dirty set RebuildNodes takes.
+func (r *Replica) Settle() ([]NodeID, error) {
+	released, err := r.ov.Advance(r.at)
+	if err != nil {
+		return nil, err
+	}
+	r.union(released)
+	dirty := r.dirty
+	r.dirty = nil
+	for _, d := range dirty {
+		r.seen[d] = false
+	}
+	churn.SortNodeIDs(dirty)
+	return dirty, nil
+}
+
+func (r *Replica) union(ds []NodeID) {
+	for _, d := range ds {
+		if !r.seen[d] {
+			r.seen[d] = true
+			r.dirty = append(r.dirty, d)
+		}
+	}
+}
+
+// RepairHook returns a shard's repair hook (cluster Options.Repair):
+// each batch is applied and settled, the dirty nodes owns accepts are
+// rebuilt (nil = all), and dep is rebound to the repaired plane. The
+// shard calls it behind its epoch fence with batches in sequence order.
+func (r *Replica) RepairHook(dep *Deployment, owns func(NodeID) bool) func(uint64, []ChurnEvent) error {
+	return func(seq uint64, events []ChurnEvent) error {
+		for _, ev := range events {
+			if err := r.Apply(ev); err != nil {
+				return fmt.Errorf("churn batch %d: %w", seq, err)
+			}
+		}
+		dirty, err := r.Settle()
+		if err == nil {
+			_, err = r.RebuildNodesFor(dirty, owns)
+		}
+		if err != nil {
+			return fmt.Errorf("churn batch %d: %w", seq, err)
+		}
+		dep.Rebind(r.Plane())
+		return nil
+	}
 }
 
 // CertifyIdentical reports whether two forwarding planes carry identical

@@ -176,9 +176,10 @@ func TestModelReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestAffectedSetIsSound checks the may-use affected set against brute
-// force: every node whose distance row (either direction) changes under
-// a reweight must be in the set.
+// TestAffectedSetIsSound checks the may-use affected set the overlay
+// computes (the bounded prober) against brute force: every node whose
+// distance row (either direction) changes under a reweight must be in
+// the set.
 func TestAffectedSetIsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
@@ -201,7 +202,7 @@ func TestAffectedSetIsSound(t *testing.T) {
 			before[i], beforeRev[i] = &f, &r
 		}
 		wNew := graph.Dist(1 + rng.Int63n(64))
-		dirty := churn.Affected(g, u, v, wNew) // mutates g
+		dirty := churn.NewProber().Affected(g, u, v, wNew) // mutates g
 		inDirty := make(map[NodeID]bool, len(dirty))
 		for _, x := range dirty {
 			inDirty[x] = true
@@ -222,35 +223,4 @@ func TestAffectedSetIsSound(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRunChurnSmoke runs the full epoch loop — events, stale window,
-// repair, certification, post-repair serving — at test scale.
-func TestRunChurnSmoke(t *testing.T) {
-	sys := churnSystem(t, 64, 42)
-	res, err := RunChurn(sys, ChurnConfig{
-		Kind:            StretchSix,
-		Build:           BuildConfig{Seed: 7},
-		ChurnSeed:       1234,
-		Rate:            4,
-		Epochs:          3,
-		PacketsPerEpoch: 400,
-		Certify:         true,
-		Workers:         4,
-	})
-	if err != nil {
-		t.Fatalf("RunChurn: %v", err)
-	}
-	if res.TotalRepairs != 3 {
-		t.Fatalf("repairs = %d, want 3", res.TotalRepairs)
-	}
-	if res.TotalServed == 0 {
-		t.Fatalf("no roundtrips served")
-	}
-	for _, ep := range res.Epochs {
-		if ep.PostDrops != 0 {
-			t.Fatalf("epoch %d: %d drops on repaired tables", ep.Epoch, ep.PostDrops)
-		}
-	}
-	t.Logf("\n%s", res.Format())
 }
