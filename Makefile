@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify race short large bench bench-smoke perfbench-test fmt vet lint ci traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
+.PHONY: all build test verify race short large bench bench-smoke perfbench-test fmt vet lint ci alloc-gates traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
 
 all: verify
 
@@ -29,6 +29,15 @@ sizes:
 
 race:
 	$(GO) test -race ./...
+
+# The zero-allocation gates skip under -race, so they get their own
+# non-race run, at 1, 2 and 4 Ps: schedules with more than one P shrink
+# the injector's bursts, which is where amortized-zero used to break.
+ALLOC_GATES = TestDijkstraScratchZeroAllocs|TestFlyZeroAllocsPerHop|TestRoundtripFlightAllocs|TestClusterZeroAllocsPerRoundtrip|TestClusterZeroAllocsWithSink
+alloc-gates:
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run '^($(ALLOC_GATES))$$' ./internal/graph ./internal/sim ./internal/traffic ./internal/cluster || exit 1; \
+	done
 
 short:
 	$(GO) test -short ./...
@@ -118,4 +127,4 @@ vet:
 
 lint: fmt vet
 
-ci: lint build race traffic cluster obs churn churn-cluster docs bench-smoke perfbench-test fuzz-smoke
+ci: lint build race alloc-gates traffic cluster obs churn churn-cluster docs bench-smoke perfbench-test fuzz-smoke

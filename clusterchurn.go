@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -203,8 +202,6 @@ type ChurnClusterResult struct {
 	ElapsedNs      int64   `json:"elapsed_ns"`
 }
 
-type ccPair struct{ src, dst int32 }
-
 type ccRun struct {
 	cfg    ChurnClusterConfig
 	n      int
@@ -214,9 +211,8 @@ type ccRun struct {
 	place  *cluster.Placement
 	nodeOf []NodeID   // name -> node, churn-invariant (the paper's TINNs)
 	reps   []*Replica // shard i's private replica
-	shards []*cluster.Shard
-	bus    *cluster.ChanBus
-	window *cluster.Window
+	fab    *cluster.Fabric
+	inj    *cluster.Injector
 	wake   chan struct{}
 
 	issued       int64 // driver-thread only
@@ -228,9 +224,6 @@ type ccRun struct {
 	servedWeight atomic.Int64
 	acks         atomic.Int64
 	dirtyBits    atomic.Uint64 // Float64bits of the last batch's dirty fraction
-
-	mu       sync.Mutex
-	firstErr error
 }
 
 func (r *ccRun) wakeup() {
@@ -238,22 +231,6 @@ func (r *ccRun) wakeup() {
 	case r.wake <- struct{}{}:
 	default:
 	}
-}
-
-func (r *ccRun) abort(err error) {
-	r.mu.Lock()
-	if r.firstErr == nil && err != nil {
-		r.firstErr = err
-	}
-	r.mu.Unlock()
-	r.bus.Close()
-	r.wakeup()
-}
-
-func (r *ccRun) err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.firstErr
 }
 
 // RunChurnCluster drives seeded churn through a serving shard fabric:
@@ -292,9 +269,7 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	r := &ccRun{
 		cfg: cfg, n: n,
 		ref: ref, refDep: refDep, model: model, place: place,
-		bus:    cluster.NewChanBus(cfg.Shards, cfg.InFlight+cfg.Shards),
-		window: cluster.NewWindow(cfg.InFlight),
-		wake:   make(chan struct{}, 1),
+		wake: make(chan struct{}, 1),
 	}
 	// Snapshot the name->node map: topology-independent names never move
 	// under churn, but reading it through refDep would race with the
@@ -307,50 +282,51 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	// Per-shard replicas, built before any churn so every replica starts
 	// from the reference's exact state.
 	r.reps = make([]*Replica, cfg.Shards)
-	r.shards = make([]*cluster.Shard, cfg.Shards)
-	for i := range r.shards {
-		rep, err := NewReplica(sys.Graph, sys.Naming, cfg.Kind, cfg.Build, cfg.Damper)
-		if err != nil {
-			return nil, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
-		}
-		dep := core.NewDeployment(rep.Plane(), cfg.Kind)
-		view, err := dep.ShardView(i, place.Owner)
-		if err != nil {
-			return nil, fmt.Errorf("rtroute: shard %d view: %w", i, err)
-		}
-		tr := cluster.Transport(r.bus.Endpoint(i))
-		if cfg.wrapEndpoint != nil {
-			tr = cfg.wrapEndpoint(i, tr)
-		}
-		r.reps[i] = rep
-		r.shards[i] = cluster.NewShard(view, place, tr, cluster.Options{
-			Workers: cfg.Workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
-			Strict: true,
-			OnDone: func(f *wire.Frame) {
-				r.servedHops.Add(int64(f.Out.Hops) + int64(f.Back.Hops))
-				r.servedWeight.Add(int64(f.Out.Weight) + int64(f.Back.Weight))
-				r.served.Add(1)
-				r.window.Put(1)
-				r.wakeup()
-			},
-			OnLost: func(f *wire.Frame, reason byte) {
-				if reason == wire.DropMisroute {
-					r.misroutes.Add(1)
-				} else {
-					r.drops.Add(1)
-				}
-				r.window.Put(1)
-				r.wakeup()
-			},
-			Repair: rep.RepairHook(dep, view.Owns),
-			OnRepaired: func(seq uint64) {
-				r.acks.Add(1)
-				r.wakeup()
-			},
-			Sink: cfg.Sink, SinkShard: i,
-		})
+	r.fab, err = cluster.NewFabric(cluster.FabricConfig{
+		Place: place, InFlight: cfg.InFlight, Wrap: cfg.wrapEndpoint,
+		Shard: func(i int) (*core.ShardView, cluster.Options, error) {
+			rep, err := NewReplica(sys.Graph, sys.Naming, cfg.Kind, cfg.Build, cfg.Damper)
+			if err != nil {
+				return nil, cluster.Options{}, fmt.Errorf("rtroute: shard %d replica: %w", i, err)
+			}
+			dep := core.NewDeployment(rep.Plane(), cfg.Kind)
+			view, err := dep.ShardView(i, place.Owner)
+			if err != nil {
+				return nil, cluster.Options{}, fmt.Errorf("rtroute: shard %d view: %w", i, err)
+			}
+			r.reps[i] = rep
+			return view, cluster.Options{
+				Workers: cfg.Workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
+				Strict: true,
+				OnDone: func(f *wire.Frame) {
+					r.servedHops.Add(int64(f.Out.Hops) + int64(f.Back.Hops))
+					r.servedWeight.Add(int64(f.Out.Weight) + int64(f.Back.Weight))
+					r.served.Add(1)
+					r.wakeup()
+				},
+				OnLost: func(f *wire.Frame, reason byte) {
+					if reason == wire.DropMisroute {
+						r.misroutes.Add(1)
+					} else {
+						r.drops.Add(1)
+					}
+					r.wakeup()
+				},
+				Repair: rep.RepairHook(dep, view.Owns),
+				OnRepaired: func(seq uint64) {
+					r.acks.Add(1)
+					r.wakeup()
+				},
+				Sink: cfg.Sink, SinkShard: i,
+			}, nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	cluster.RegisterChurnGauges(cfg.Sink, r.shards...)
+	r.inj = r.fab.NewInjector(1, nil)
+	shards := r.fab.Shards()
+	cluster.RegisterChurnGauges(cfg.Sink, shards...)
 	cfg.Sink.RegisterGauge("churn_dirty_frac", func() float64 { return math.Float64frombits(r.dirtyBits.Load()) })
 
 	wl, err := traffic.NewWorkload(cfg.Workload, n, cfg.Build.Seed^cfg.ChurnSeed)
@@ -359,27 +335,17 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 	}
 	gen := wl.Generator(0)
 
-	var wg sync.WaitGroup
-	for _, sh := range r.shards {
-		wg.Add(1)
-		go func(sh *cluster.Shard) {
-			defer wg.Done()
-			if err := sh.Serve(); err != nil {
-				r.abort(err)
-			}
-		}(sh)
-	}
-
 	res := &ChurnClusterResult{
 		Kind: cfg.Kind.String(), Nodes: n, Shards: cfg.Shards, Workers: cfg.Workers,
 		Placement: string(place.Policy), FromScratch: cfg.Certify,
 	}
 	start := time.Now()
+	r.fab.Start()
 	runErr := r.drive(gen, res)
-	r.bus.Close()
-	wg.Wait()
-	if runErr == nil {
-		runErr = r.err()
+	r.fab.Close()
+	// A shard failure is the root cause of whatever the driver saw.
+	if err := r.fab.Wait(); err != nil {
+		return nil, err
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -410,8 +376,8 @@ func RunChurnCluster(sys *System, cfg ChurnClusterConfig) (*ChurnClusterResult, 
 		res.StableRTPerSec = float64(stableIssued) / (float64(stableNs) / 1e9)
 	}
 	var repairNanos int64
-	_, _, res.Repairs, repairNanos = cluster.ChurnTotals(r.shards...)
-	for _, sh := range r.shards {
+	_, _, res.Repairs, repairNanos = cluster.ChurnTotals(shards...)
+	for _, sh := range shards {
 		res.CrossShard += sh.Stats().FramesOut
 	}
 	if res.Repairs > 0 {
@@ -459,14 +425,10 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		ackTarget := int64((b + 1) * r.cfg.Shards)
 		fire0 := time.Now()
 		injected := make(chan error, 1)
-		go func() { injected <- r.issue(firePairs) }()
-		for i := 0; i < r.cfg.Shards; i++ {
-			// Each shard gets its own buffer: the transport owns delivered
-			// bytes (shards recycle them into their frame pools).
-			if err := r.bus.Send(i, wire.AppendChurnFrame(nil, seq, events)); err != nil {
-				<-injected
-				return fmt.Errorf("rtroute: churn broadcast: %w", err)
-			}
+		go func() { injected <- r.inject(firePairs) }()
+		if err := r.fab.Broadcast(wire.AppendChurnFrame(nil, seq, events)); err != nil {
+			<-injected
+			return fmt.Errorf("rtroute: churn broadcast: %w", err)
 		}
 		// The reference repairs on the driver thread while the fabric
 		// serves under fire.
@@ -488,7 +450,7 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		row.FireDrops = r.drops.Load() - drops0
 		row.FireMisroutes = r.misroutes.Load() - miss0
 		var repairSum, repairMax int64
-		for i, sh := range r.shards {
+		for i, sh := range r.fab.Shards() {
 			_, _, reps, nanos := sh.ChurnStats()
 			d := nanos - prevNanos[i]
 			if reps != prevRepairs[i]+1 {
@@ -524,7 +486,7 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		hops0, weight0 := r.servedHops.Load(), r.servedWeight.Load()
 		drops0, miss0 = r.drops.Load(), r.misroutes.Load()
 		stable0 := time.Now()
-		if err := r.issue(stablePairs); err != nil {
+		if err := r.inject(stablePairs); err != nil {
 			return err
 		}
 		r.issued += int64(len(stablePairs))
@@ -539,9 +501,9 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 		var refHops, refWeight int64
 		var hdr sim.Header
 		for _, p := range stablePairs {
-			out, back, h, err := sim.RoundtripFlightReusing(r.ref.Plane(), hdr, p.src, p.dst, r.cfg.MaxHops)
+			out, back, h, err := sim.RoundtripFlightReusing(r.ref.Plane(), hdr, p.Src, p.Dst, r.cfg.MaxHops)
 			if err != nil {
-				return fmt.Errorf("rtroute: batch %d: sequential replay %d->%d: %w", b, p.src, p.dst, err)
+				return fmt.Errorf("rtroute: batch %d: sequential replay %d->%d: %w", b, p.Src, p.Dst, err)
 			}
 			hdr = h
 			refHops += int64(out.Hops + back.Hops)
@@ -556,62 +518,26 @@ func (r *ccRun) drive(gen traffic.Generator, res *ChurnClusterResult) error {
 	return nil
 }
 
-// drawPairs draws count pairs, resampling (bounded) endpoints the churn
-// has taken down — a dead endpoint can never be served, which would
-// break the accounting identity's usefulness as a hang detector.
-func (r *ccRun) drawPairs(gen traffic.Generator, count int64) []ccPair {
-	pairs := make([]ccPair, 0, count)
+// drawPairs draws count roundtrips, resampling (bounded) endpoints the
+// churn has taken down — a dead endpoint can never be served, which
+// would break the accounting identity's usefulness as a hang detector.
+// Each is tagged with its run-wide sequence number (never zero).
+func (r *ccRun) drawPairs(gen traffic.Generator, count int64) []wire.InjectEntry {
+	pairs := make([]wire.InjectEntry, 0, count)
 	for i := int64(0); i < count; i++ {
 		src, dst := gen.Next()
 		for tries := 0; tries < 64 && (r.ref.ov.NodeFailed(r.nodeOf[src]) || r.ref.ov.NodeFailed(r.nodeOf[dst])); tries++ {
 			src, dst = gen.Next()
 		}
-		pairs = append(pairs, ccPair{src, dst})
+		r.rt++
+		pairs = append(pairs, wire.InjectEntry{Src: src, Dst: dst, Rt: r.rt})
 	}
 	return pairs
 }
 
-// issue injects the pairs through the window, grouped per owning shard
-// into batched inject frames — the same discipline cluster.Run's
-// injectors use.
-func (r *ccRun) issue(pairs []ccPair) error {
-	byOwner := make([][]wire.InjectEntry, r.cfg.Shards)
-	idx := 0
-	for idx < len(pairs) {
-		want := len(pairs) - idx
-		if want > 256 {
-			want = 256
-		}
-		got := r.window.Take(want, r.bus.Done())
-		if got == 0 {
-			if err := r.err(); err != nil {
-				return err
-			}
-			return fmt.Errorf("rtroute: cluster closed while injecting")
-		}
-		for k := 0; k < got; k++ {
-			p := pairs[idx]
-			idx++
-			r.rt++
-			owner := r.place.Shard(r.nodeOf[p.src])
-			byOwner[owner] = append(byOwner[owner], wire.InjectEntry{Src: p.src, Dst: p.dst, Rt: r.rt})
-		}
-		for o := range byOwner {
-			if len(byOwner[o]) == 0 {
-				continue
-			}
-			buf := make([]byte, 0, 32+len(byOwner[o])*21)
-			data := wire.AppendInjectBatch(buf, wire.HomeLocal, 0, byOwner[o])
-			byOwner[o] = byOwner[o][:0]
-			if err := r.bus.Send(o, data); err != nil {
-				if aerr := r.err(); aerr != nil {
-					return aerr
-				}
-				return fmt.Errorf("rtroute: inject: %w", err)
-			}
-		}
-	}
-	return nil
+// inject puts the drawn roundtrips on the fabric through its injector.
+func (r *ccRun) inject(pairs []wire.InjectEntry) error {
+	return r.inj.Inject(int64(len(pairs)), func(k int64) wire.InjectEntry { return pairs[k] })
 }
 
 // waitAccounted blocks until every issued roundtrip is accounted —
@@ -627,10 +553,9 @@ func (r *ccRun) waitAccounted(issued, acks int64, what string) error {
 		if got == issued && r.acks.Load() >= acks {
 			return nil
 		}
-		if err := r.err(); err != nil {
-			return err
-		}
 		select {
+		case <-r.fab.Done():
+			return fmt.Errorf("rtroute: %s: fabric closed with roundtrips outstanding", what)
 		case <-r.wake:
 		case <-time.After(50 * time.Millisecond):
 		case <-deadline:

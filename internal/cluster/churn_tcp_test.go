@@ -226,9 +226,9 @@ func TestRepairFailurePoisonsShard(t *testing.T) {
 	served := make(chan error, 1)
 	go func() { served <- sh.Serve() }()
 
-	if err := bus.Send(0, wire.AppendChurnFrame(nil, 1, []churn.Event{
+	if err := bus.SendBatch(0, []InFrame{{Data: wire.AppendChurnFrame(nil, 1, []churn.Event{
 		{Kind: churn.WeightChange, U: 0, V: 1, Weight: 5, At: 0.25},
-	})); err != nil {
+	})}}); err != nil {
 		t.Fatal(err)
 	}
 	select {

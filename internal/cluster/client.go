@@ -26,6 +26,7 @@ type Client struct {
 	tc   *tcpConn
 	rd   *bufio.Reader
 	buf  []byte // reusable frame marshal buffer
+	one  [1]wire.InjectEntry
 
 	// OnDrop, when non-nil, accepts lossy completions: a cluster
 	// converging under churn reports a dropped or misrouted roundtrip
@@ -83,15 +84,14 @@ func (c *Client) Info() (kind core.Kind, nodes, shards int, err error) {
 }
 
 // Roundtrip routes one roundtrip srcName -> dstName -> srcName through
-// the cluster and returns both legs' totals. The inject carries
-// roundtrip tag 1 — the tag a single in-flight roundtrip would get from
-// Roundtrips — so a daemon running with trace sampling records it in
-// the flight recorder (the predicate admits rt%every == 1).
+// the cluster and returns both legs' totals. The inject is a one-entry
+// batch carrying roundtrip tag 1 — the tag a single in-flight roundtrip
+// would get from Roundtrips — so a daemon running with trace sampling
+// records it in the flight recorder (the predicate admits rt%every == 1).
 func (c *Client) Roundtrip(srcName, dstName int32) (out, back wire.LegTotals, err error) {
-	err = c.send(&wire.Frame{
-		Kind: wire.FrameInject, SrcName: srcName, DstName: dstName, Home: wire.HomeClient, Rt: 1,
-	})
-	if err != nil {
+	c.one[0] = wire.InjectEntry{Src: srcName, Dst: dstName, Rt: 1}
+	c.buf = wire.AppendInjectBatch(c.buf[:0], wire.HomeClient, 0, c.one[:])
+	if err := c.tc.writeFrame(c.buf); err != nil {
 		return out, back, err
 	}
 	var f wire.Frame

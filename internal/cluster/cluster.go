@@ -12,16 +12,18 @@
 // packet's next node belongs to another shard, the live header rides
 // in a fixed-layout flight frame (wire.AppendFlightFrame) together with
 // the roundtrip's routing preamble and is shipped to the owner, who resumes
-// the leg exactly where it stopped — sim.FlySegment makes the chain of
-// per-shard segments hop-for-hop identical to one single-process fly
+// the leg exactly where it stopped — sim.SegmentRunner makes the chain
+// of per-shard segments hop-for-hop identical to one single-process fly
 // loop, which is what the route-identity tests certify against
 // sim.Run.
 //
 // Two transports share the protocol: ChanBus (bounded in-process
 // mailboxes — deterministic tests and benchmarks) and TCPTransport
 // (length-prefixed frames over sockets — one rtserve daemon per shard,
-// rtroute -connect as client). Run is the in-process engine with
-// traffic-engine-shaped stats; Shard.Serve is the daemon loop.
+// rtroute -connect as client). Fabric is the one in-process cluster —
+// bus, credit window, shards and injector — that Run (the engine with
+// traffic-engine-shaped stats) and the churn driver stand on;
+// Shard.Serve is the daemon loop.
 package cluster
 
 import (
@@ -66,9 +68,8 @@ type Config struct {
 	// Injectors is the number of deterministic injection streams
 	// (default = Shards). Part of the pair-multiset contract.
 	Injectors int
-	// InFlight caps concurrently live roundtrips (default 512). With
-	// every live roundtrip occupying at most one queued frame, mailbox
-	// capacity = InFlight makes the bus deadlock-free by counting.
+	// InFlight caps concurrently live roundtrips (default 512); the
+	// fabric sizes its mailboxes from it (see Fabric).
 	InFlight int
 	// Batch bounds one mailbox dequeue (default 64).
 	Batch int
@@ -188,12 +189,12 @@ func (cfg Config) SinkShape() telemetry.Config {
 	return telemetry.Config{Shards: ids, Workers: workers, Injectors: injectors}
 }
 
-// Run serves cfg.Packets roundtrips through an in-process cluster: S
-// shards over a channel bus, each pumping its own mailbox with Workers
-// goroutines, plus deterministic injector streams throttled by the
-// InFlight window. The pair multiset — and therefore every distribution
-// in the Result — is a pure function of (Seed, Injectors, Workload,
-// Packets); Elapsed and the rates vary between runs.
+// Run serves cfg.Packets roundtrips through an in-process Fabric: S
+// shards, each pumping its own mailbox with Workers goroutines, fed by
+// deterministic injector streams throttled by the InFlight window. The
+// pair multiset — and therefore every distribution in the Result — is a
+// pure function of (Seed, Injectors, Workload, Packets); Elapsed and the
+// rates vary between runs.
 func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	if cfg.Packets <= 0 {
 		return nil, fmt.Errorf("cluster: packets must be > 0, got %d", cfg.Packets)
@@ -205,10 +206,6 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 	injectors := cfg.Injectors
 	if injectors <= 0 {
 		injectors = shards
-	}
-	inFlight := cfg.InFlight
-	if inFlight <= 0 {
-		inFlight = 512
 	}
 	stride := int64(cfg.SampleEvery)
 	if stride < 1 {
@@ -230,159 +227,75 @@ func Run(dep *core.Deployment, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Mailbox capacity = InFlight: every live roundtrip occupies at
-	// most one queued frame anywhere (a batched inject of k roundtrips
-	// is one message, strictly fewer), so sends can never cycle-wait.
-	bus := NewChanBus(shards, inFlight)
 	remaining := cfg.Packets
-	window := NewWindow(inFlight)
+	var fab *Fabric
+	fab, err = NewFabric(FabricConfig{
+		Place: place, InFlight: cfg.InFlight, Wrap: cfg.wrapEndpoint,
+		Shard: func(i int) (*core.ShardView, Options, error) {
+			view, err := dep.ShardView(i, place.Owner)
+			return view, Options{
+				Workers: cfg.Workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops, Strict: true,
+				OnDone: func(*wire.Frame) {
+					if atomic.AddInt64(&remaining, -1) == 0 {
+						fab.Close()
+					}
+				},
+				Sink: cfg.Sink, SinkShard: i,
+			}, err
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	window := fab.window
 	cfg.Sink.RegisterGauge("window_size", func() float64 { return float64(window.Size()) })
 	cfg.Sink.RegisterGauge("window_occupancy", window.Occupancy)
-	onDone := func(*wire.Frame) {
-		window.Put(1)
-		if atomic.AddInt64(&remaining, -1) == 0 {
-			bus.Close()
-		}
-	}
-	ss := make([]*Shard, shards)
-	for i := 0; i < shards; i++ {
-		view, err := dep.ShardView(i, place.Owner)
-		if err != nil {
-			return nil, err
-		}
-		tr := Transport(bus.Endpoint(i))
-		if cfg.wrapEndpoint != nil {
-			tr = cfg.wrapEndpoint(i, tr)
-		}
-		ss[i] = NewShard(view, place, tr, Options{
-			Workers: cfg.Workers, Batch: cfg.Batch, MaxHops: cfg.MaxHops,
-			Strict: true, OnDone: onDone,
-			Sink: cfg.Sink, SinkShard: i,
-		})
-	}
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	abort := func(err error) {
-		mu.Lock()
-		if firstErr == nil && err != nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		bus.Close()
-	}
 	start := time.Now()
-	for _, sh := range ss {
-		wg.Add(1)
-		go func(sh *Shard) {
-			defer wg.Done()
-			if err := sh.Serve(); err != nil {
-				abort(err)
-			}
-		}(sh)
-	}
+	fab.Start()
 	quotas := traffic.SplitQuota(cfg.Packets, injectors)
 	sample := cfg.Oracle != nil
 	// Roundtrip tags cost frame bytes, so injects are tagged only when
 	// the flight recorder wants them; tag 0 means untraced everywhere.
 	tagging := cfg.Sink.Tracing()
 	injAllocs := make([]int64, injectors)
-	// Injectors run windowed: take a burst of credits, generate that
-	// many pairs, ship them grouped per owning shard as one inject-batch
-	// message each — one window rendezvous and one mailbox send per
-	// burst instead of per roundtrip. The burst scales with the window
-	// (Take never over-claims: it hands out at most what is available).
-	burst := inFlight / (2 * injectors)
-	if burst < 64 {
-		burst = 64
-	}
-	if burst > 256 {
-		burst = 256
-	}
+	var wg sync.WaitGroup
 	for i := 0; i < injectors; i++ {
 		wg.Add(1)
 		go func(i int, quota int64) {
 			defer wg.Done()
 			gen := wl.Generator(i)
-			byOwner := make([][]wire.InjectEntry, shards)
-			// The injector's probe mirrors the worker discipline: one
-			// BatchStart per burst (credit wait is its own — excluded —
-			// stage), publish after every burst.
-			ip := cfg.Sink.InjectorProbe(i)
-			allocs := &injAllocs[i]
-			var sent int64
-			if ip != nil {
-				defer func() { ip.Publish(telemetry.Counters{Injects: sent, Allocs: *allocs}) }()
-			}
-			for sent < quota {
-				want := burst
-				if rem := quota - sent; rem < int64(want) {
-					want = int(rem)
+			inj := fab.NewInjector(injectors, cfg.Sink.InjectorProbe(i))
+			// An error means the fabric shut down under us; Wait reports why.
+			_ = inj.Inject(quota, func(k int64) wire.InjectEntry {
+				src, dst := gen.Next()
+				e := wire.InjectEntry{Src: src, Dst: dst, Sampled: sample && k%stride == 0}
+				if tagging {
+					// Unique, never-zero tag: injector in the high bits,
+					// the injector-local sequence (starting at 1) below.
+					e.Rt = uint64(i)<<40 | uint64(k+1)
 				}
-				t := ip.BatchStart(0)
-				n := window.Take(want, bus.Done())
-				t = ip.Lap(telemetry.StageCredit, t)
-				if n == 0 {
-					return // run aborted under us
-				}
-				for k := 0; k < n; k++ {
-					src, dst := gen.Next()
-					owner := place.Shard(dep.NodeOf(src))
-					if len(byOwner[owner]) == cap(byOwner[owner]) {
-						*allocs++
-					}
-					e := wire.InjectEntry{
-						Src: src, Dst: dst,
-						Sampled: sample && (sent+int64(k))%stride == 0,
-					}
-					if tagging {
-						// Unique, never-zero tag: injector in the high bits,
-						// the injector-local sequence (starting at 1) below.
-						e.Rt = uint64(i)<<40 | uint64(sent+int64(k)+1)
-					}
-					byOwner[owner] = append(byOwner[owner], e)
-				}
-				sent += int64(n)
-				t = ip.Lap(telemetry.StageInject, t)
-				for o := range byOwner {
-					if len(byOwner[o]) == 0 {
-						continue
-					}
-					// The shard owns the buffer after Send (it recycles it
-					// into its frame pool), so each batch cuts a fresh one —
-					// sized upfront, one allocation per ~burst roundtrips.
-					buf := make([]byte, 0, 32+len(byOwner[o])*21)
-					*allocs++
-					data := wire.AppendInjectBatch(buf, wire.HomeLocal, 0, byOwner[o])
-					byOwner[o] = byOwner[o][:0]
-					if err := bus.Send(o, data); err != nil {
-						return // bus closed: run aborted under us
-					}
-				}
-				ip.Lap(telemetry.StageSend, t)
-				if ip != nil {
-					ip.Publish(telemetry.Counters{Injects: sent, Allocs: *allocs})
-				}
-			}
+				return e
+			})
+			injAllocs[i] = inj.allocs
 		}(i, quotas[i])
 	}
 	wg.Wait()
+	err = fab.Wait()
 	elapsed := time.Since(start)
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	if left := atomic.LoadInt64(&remaining); left != 0 {
 		return nil, fmt.Errorf("cluster: run stopped with %d roundtrips unserved", left)
 	}
+	ss := fab.Shards()
 
 	res := &Result{
 		Shards: shards, Workers: ss[0].opts.Workers, Placement: place.Policy,
 		Elapsed: elapsed, PerShard: make([]ShardStats, shards),
 		CrossEdgeFraction: place.CrossEdgeFraction(g),
-		InFlight:          inFlight,
+		InFlight:          window.Size(),
 		WindowOccupancy:   window.Occupancy(),
 	}
 	for _, a := range injAllocs {

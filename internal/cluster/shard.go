@@ -99,6 +99,9 @@ type shardWorker struct {
 	// churn stashes churn batches decoded mid-batch; they are applied
 	// after the read fence is released (see applyChurn).
 	churn []churnBatch
+	// reroute is the one-entry scratch a foreign inject is re-shipped
+	// from, so a re-route encodes without allocating.
+	reroute [1]wire.InjectEntry
 }
 
 // publish hands the probe a copy of the worker's counters at a batch
@@ -129,13 +132,18 @@ func (st *shardWorker) slab(batch int) []InFrame {
 }
 
 // recycleSlab returns a fully-processed received batch slice to the
-// worker, keeping only slices that can hold a full outbound batch —
-// received batches also include singleton sends (injector frames), and
-// pooling their cap-1 backing arrays would make every ship() regrow
-// them. The elements are cleared: every buffer in it has already been
-// recycled or shipped.
-func (st *shardWorker) recycleSlab(frames []InFrame, batch int) {
-	if cap(frames) >= batch && len(st.slabs) < 64 {
+// worker, keeping only slices that can hold a full outbound batch.
+// Smaller ones — the singleton messages an in-process injector sends —
+// go back to the fabric's pool (dropped when pool is nil): pooling their
+// cap-1 backing arrays here would make every ship() regrow them. The
+// elements are cleared: every buffer in it has already been recycled or
+// shipped.
+func (st *shardWorker) recycleSlab(frames []InFrame, batch int, pool *msgPool) {
+	if cap(frames) < batch {
+		pool.putSlab(frames)
+		return
+	}
+	if len(st.slabs) < 64 {
 		clear(frames)
 		st.slabs = append(st.slabs, frames[:0])
 	}
@@ -230,6 +238,9 @@ type Shard struct {
 	// rebuilt under the write fence after each repair, because it caches
 	// the graph's port table at construction.
 	seg *sim.SegmentRunner
+	// pool, set when the shard serves inside a Fabric, takes consumed
+	// inject messages back to the fabric's injectors.
+	pool *msgPool
 
 	// The epoch fence (armed when opts.Repair != nil; a cold RWMutex
 	// otherwise, never locked). Workers hold the read side across one
@@ -435,7 +446,7 @@ func (s *Shard) worker(w int) error {
 				}
 			}
 			processed += len(frames)
-			st.recycleSlab(frames, s.opts.Batch)
+			st.recycleSlab(frames, s.opts.Batch, s.pool)
 			if processed >= 4*s.opts.Batch {
 				break
 			}
@@ -583,10 +594,10 @@ func (s *Shard) flush(st *shardWorker, t int64) (int64, error) {
 }
 
 // handle processes one received frame. retained reports that the
-// inbound buffer was shipped onward (a repatched flight frame) and must
-// not be recycled. t is the sampled-batch Lap chain (0 = unsampled),
-// threaded through and returned so the worker's whole batch is tiled
-// by stage attributions.
+// inbound buffer was shipped onward (a repatched flight frame) or handed
+// back to a fabric's injectors, and must not be recycled. t is the
+// sampled-batch Lap chain (0 = unsampled), threaded through and returned
+// so the worker's whole batch is tiled by stage attributions.
 func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOut int64, err error) {
 	// The two fixed-layout kinds have their own decoders; everything
 	// else — including any message that fails the peek (bad magic, a
@@ -598,7 +609,9 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 			return s.handleFlight(st, in, t)
 		case wire.FrameInjectBatch:
 			t, err = s.handleInjectBatch(st, in, t)
-			return false, t, err
+			// Inside a Fabric the consumed buffer goes back to the
+			// injectors that cut it, not into this worker's pool.
+			return s.pool.putBuf(in.Data), t, err
 		case wire.FrameChurn:
 			return false, t, s.stashChurn(st, in)
 		}
@@ -608,9 +621,6 @@ func (s *Shard) handle(st *shardWorker, in InFrame, t int64) (retained bool, tOu
 		return false, t, err
 	}
 	switch f.Kind {
-	case wire.FrameInject:
-		t, err = s.inject(st, f, in.Conn, t)
-		return false, t, err
 	case wire.FrameDone, wire.FrameDrop:
 		// A completion (or lossy-completion) report passing through its
 		// home shard on the way back to the client connection that
@@ -727,12 +737,9 @@ func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (in
 	src := s.view.NodeOf(f.SrcName)
 	if !s.view.Owns(src) {
 		// Header creation is the source's job: route the inject to
-		// the shard that owns the source node.
-		f.Kind = wire.FrameInject
-		data, err := wire.AppendFrame(st.outBuf(), f)
-		if err != nil {
-			return t, err
-		}
+		// the shard that owns the source node, as a one-entry batch.
+		st.reroute[0] = wire.InjectEntry{Src: f.SrcName, Dst: f.DstName, Rt: f.Rt, Sampled: f.Sampled}
+		data := wire.AppendInjectBatch(st.outBuf(), f.Home, f.Origin, st.reroute[:])
 		t = st.p.Lap(telemetry.StageEncode, t)
 		return s.ship(st, s.place.Shard(src), data, t)
 	}
@@ -769,16 +776,18 @@ func (s *Shard) inject(st *shardWorker, f *wire.Frame, conn uint64, t int64) (in
 // reports the repatch case: prev now belongs to the transport.
 func (s *Shard) advance(st *shardWorker, f *wire.Frame, h sim.Header, fl sim.Flight, prev []byte, fs wire.FlightState, t int64) (retained bool, tOut int64, err error) {
 	traced := st.p.Traced(f.Rt)
+	var hook sim.HopHook
+	if traced {
+		hook = st.hook
+	}
 	for {
-		var delivered bool
-		if traced && st.hook != nil {
-			// The hooked runner records every hop; trRt/trRet feed the
-			// hook without a per-packet closure.
+		if hook != nil {
+			// The hook records every hop; trRt/trRet feed it without a
+			// per-packet closure.
 			st.trRt, st.trRet = f.Rt, f.Return
-			delivered, err = s.seg.FlyHooked(h, &fl, st.hook)
-		} else {
-			delivered, err = s.seg.Fly(h, &fl)
 		}
+		var delivered bool
+		delivered, err = s.seg.FlyHooked(h, &fl, hook)
 		if err != nil {
 			if s.armed {
 				// Under convergence a forwarding failure is an expected

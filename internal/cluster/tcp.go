@@ -24,7 +24,7 @@ import (
 const maxTCPFrame = 1 << 24
 
 // tcpDialRetries * tcpDialBackoff bounds how long a shard waits for a
-// peer daemon to come up before failing the Send. This inline wait is
+// peer daemon to come up before failing the send. This inline wait is
 // paid only on a link's first use (daemons start in any order); once a
 // link has been up, losing it marks the peer down and sends fail fast
 // with *PeerDownError while a background redialer repairs the link off
@@ -359,14 +359,9 @@ func (t *TCPTransport) redialPeer(to int) {
 	}
 }
 
-// Send implements Transport. A send to this shard itself loops back
-// through the inbox without touching a socket.
-func (t *TCPTransport) Send(to int, frame []byte) error {
-	return t.SendBatch(to, []InFrame{{Data: frame}})
-}
-
 // SendBatch implements Transport: one socket write carries the whole
-// batch of length-prefixed frames.
+// batch of length-prefixed frames. A send to this shard itself loops
+// back through the inbox without touching a socket.
 func (t *TCPTransport) SendBatch(to int, frames []InFrame) error {
 	if len(frames) == 0 {
 		return nil

@@ -30,7 +30,7 @@ func TestTCPFlappingPeer(t *testing.T) {
 	trB := NewTCPTransport(1, lnB, addrs)
 
 	frame := []byte("ping")
-	if err := trA.Send(1, frame); err != nil {
+	if err := trA.SendBatch(1, []InFrame{{Data: frame}}); err != nil {
 		t.Fatalf("send on fresh link: %v", err)
 	}
 	if got, err := trB.Recv(); err != nil || string(got[0].Data) != "ping" {
@@ -46,7 +46,7 @@ func TestTCPFlappingPeer(t *testing.T) {
 	var sendErr error
 	start := time.Now()
 	for time.Since(start) < 5*time.Second {
-		if sendErr = trA.Send(1, frame); sendErr != nil {
+		if sendErr = trA.SendBatch(1, []InFrame{{Data: frame}}); sendErr != nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -62,7 +62,7 @@ func TestTCPFlappingPeer(t *testing.T) {
 		t.Fatalf("LinkStats peerDowns = %d after a link broke, want >= 1", downs)
 	}
 	failStart := time.Now()
-	if err := trA.Send(1, frame); !errors.As(err, &down) {
+	if err := trA.SendBatch(1, []InFrame{{Data: frame}}); !errors.As(err, &down) {
 		t.Fatalf("send while down: got %v, want *PeerDownError", err)
 	}
 	if d := time.Since(failStart); d > tcpDialBackoff {
@@ -79,7 +79,7 @@ func TestTCPFlappingPeer(t *testing.T) {
 	defer trB2.Close()
 	recovered := false
 	for start = time.Now(); time.Since(start) < 10*time.Second; {
-		if err := trA.Send(1, frame); err == nil {
+		if err := trA.SendBatch(1, []InFrame{{Data: frame}}); err == nil {
 			recovered = true
 			break
 		} else if !errors.As(err, &down) {
@@ -215,7 +215,7 @@ func TestTCPLoopback(t *testing.T) {
 	// Hostile but well-formed frames must not take the daemon down
 	// either: flight frames with an out-of-range At (would index the
 	// placement) and negative leg totals (would inflate the hop budget),
-	// and a frame of the retired kind 1, which no longer decodes.
+	// and frames of the retired kinds 1 and 2, which no longer decode.
 	h, err := dep.NewHeader(1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -234,12 +234,15 @@ func TestTCPLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired, err := wire.MarshalFrame(&wire.Frame{Kind: wire.FrameInject, SrcName: 1, DstName: 2, Home: wire.HomeClient})
+	done, err := wire.MarshalFrame(&wire.Frame{Kind: wire.FrameDone, SrcName: 1, DstName: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	retired[6] = 1 // the frame kind slot
-	for _, bad := range [][]byte{hostileAt, negHops, retired} {
+	retired1 := append([]byte(nil), done...)
+	retired1[6] = 1 // the frame kind slot
+	retired2 := append([]byte(nil), done...)
+	retired2[6] = 2
+	for _, bad := range [][]byte{hostileAt, negHops, retired1, retired2} {
 		if err := (&tcpConn{c: cl.conn}).writeFrame(bad); err != nil {
 			t.Fatal(err)
 		}
@@ -248,10 +251,10 @@ func TestTCPLoopback(t *testing.T) {
 		t.Fatalf("roundtrip after hostile frames: %v", err)
 	}
 	// Stop the daemons so the counters are final: the garbage segment
-	// and the three hostile frames are each one error on shard 0.
+	// and the four hostile frames are each one error on shard 0.
 	stop()
-	if st := ss[0].Stats(); st.Errors != 4 {
-		t.Fatalf("shard 0 counted %d errors, want 4 (garbage + 3 hostile frames)", st.Errors)
+	if st := ss[0].Stats(); st.Errors != 5 {
+		t.Fatalf("shard 0 counted %d errors, want 5 (garbage + 4 hostile frames)", st.Errors)
 	}
 }
 
@@ -276,7 +279,7 @@ func TestTCPPeerDeathDetectedByMonitor(t *testing.T) {
 	defer trA.Close()
 	trB := NewTCPTransport(1, lnB, addrs)
 
-	if err := trA.Send(1, []byte("ping")); err != nil {
+	if err := trA.SendBatch(1, []InFrame{{Data: []byte("ping")}}); err != nil {
 		t.Fatalf("send on fresh link: %v", err)
 	}
 	got, err := trB.Recv()
@@ -307,7 +310,7 @@ func TestTCPPeerDeathDetectedByMonitor(t *testing.T) {
 	}
 	start := time.Now()
 	var down *PeerDownError
-	if err := trA.Send(1, []byte("ping")); !errors.As(err, &down) {
+	if err := trA.SendBatch(1, []InFrame{{Data: []byte("ping")}}); !errors.As(err, &down) {
 		t.Fatalf("first send after peer death: got %v, want *PeerDownError", err)
 	}
 	if d := time.Since(start); d > tcpDialBackoff {

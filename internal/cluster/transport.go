@@ -23,18 +23,16 @@ type InFrame struct {
 // frame-oriented message fabric. Frames are opaque length-delimited
 // byte slices (the wire frame codec's output); the transport neither
 // reads nor retains them after delivery. Implementations must allow
-// concurrent Send/SendBatch/Reply from many goroutines and concurrent
-// Recv from a shard's worker pool.
+// concurrent SendBatch/Reply from many goroutines and concurrent Recv
+// from a shard's worker pool.
 type Transport interface {
-	// Send delivers one frame to shard to's mailbox. It blocks while
-	// the destination mailbox is full and returns ErrClosed after the
-	// transport shuts down.
-	Send(to int, frame []byte) error
 	// SendBatch delivers many frames to one shard as a single mailbox
 	// message — the engine's amortization lever: a worker accumulates
 	// everything a dequeue batch emits toward each destination and pays
-	// one rendezvous per destination, not per frame. Ownership of the
-	// slice transfers to the transport.
+	// one rendezvous per destination, not per frame. It blocks while the
+	// destination mailbox is full and returns ErrClosed after the
+	// transport shuts down. Ownership of the slice transfers to the
+	// transport.
 	SendBatch(to int, frames []InFrame) error
 	// Recv returns the next batch from this shard's mailbox, blocking
 	// until at least one frame is available. The caller owns the
@@ -49,7 +47,7 @@ type Transport interface {
 	// identified by conn (see InFrame.Conn). Transports without client
 	// connections return an error.
 	Reply(conn uint64, frame []byte) error
-	// Close shuts the transport down, unblocking all Send/Recv calls.
+	// Close shuts the transport down, unblocking all SendBatch/Recv calls.
 	Close() error
 }
 
@@ -141,11 +139,8 @@ func (w *Window) Occupancy() float64 {
 }
 
 // ChanBus is the in-process transport: one bounded mailbox channel per
-// shard, each element a batch of frames. It is the deterministic-test
-// and benchmark fabric — same frame bytes as TCP, no sockets — and also
-// the deadlock-freedom reference: with at most InFlight roundtrips live
-// and every live roundtrip occupying at most one queued frame, a
-// mailbox capacity of InFlight batches means sends never cycle-wait.
+// shard, each element a batch of frames — same frame bytes as TCP, no
+// sockets. Fabric sizes it deadlock-free (see there).
 type ChanBus struct {
 	inboxes []chan []InFrame
 	closed  chan struct{}
@@ -160,12 +155,6 @@ func NewChanBus(shards, capacity int) *ChanBus {
 		b.inboxes[i] = make(chan []InFrame, capacity)
 	}
 	return b
-}
-
-// Send delivers a single frame to shard to's mailbox (injectors use the
-// bus directly; shards go through their Endpoint).
-func (b *ChanBus) Send(to int, frame []byte) error {
-	return b.SendBatch(to, []InFrame{{Data: frame}})
 }
 
 // SendBatch delivers a batch of frames to shard to's mailbox.
@@ -204,8 +193,6 @@ type busEndpoint struct {
 	bus   *ChanBus
 	shard int
 }
-
-func (e *busEndpoint) Send(to int, frame []byte) error { return e.bus.Send(to, frame) }
 
 func (e *busEndpoint) SendBatch(to int, frames []InFrame) error { return e.bus.SendBatch(to, frames) }
 

@@ -710,9 +710,6 @@ func (d *Deployment) EncodedSize(v graph.NodeID) int {
 	return d.nodeBytes[v]
 }
 
-// EncodedSizes returns the per-node wire sizes, or nil.
-func (d *Deployment) EncodedSizes() []int { return d.nodeBytes }
-
 // Forward implements sim.Forwarder by dispatching to the addressed
 // node's Router.
 func (d *Deployment) Forward(at graph.NodeID, h sim.Header) (graph.PortID, bool, error) {

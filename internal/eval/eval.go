@@ -55,7 +55,7 @@ func Pairs(n, limit int, rng *rand.Rand) [][2]graph.NodeID {
 }
 
 // measureStretch drives route over the pairs and accumulates the
-// statistics shared by MeasureRoundtrips and MeasureFlights: route
+// statistics shared by measureRoundtrips and MeasureFlights: route
 // returns one roundtrip's total weight and peak header words.
 func measureStretch(m graph.DistanceOracle, pairs [][2]graph.NodeID,
 	route func(u, v graph.NodeID) (graph.Dist, int, error)) (StretchStats, error) {
@@ -90,9 +90,9 @@ func measureStretch(m graph.DistanceOracle, pairs [][2]graph.NodeID,
 	return stats, nil
 }
 
-// MeasureRoundtrips drives the given roundtrip function over the pairs
+// measureRoundtrips drives the given roundtrip function over the pairs
 // and reports stretch statistics against the metric.
-func MeasureRoundtrips(m graph.DistanceOracle, perm *names.Permutation, rt RoundtripFunc, pairs [][2]graph.NodeID) (StretchStats, error) {
+func measureRoundtrips(m graph.DistanceOracle, perm *names.Permutation, rt RoundtripFunc, pairs [][2]graph.NodeID) (StretchStats, error) {
 	return measureStretch(m, pairs, func(u, v graph.NodeID) (graph.Dist, int, error) {
 		trace, err := rt(perm.Name(int32(u)), perm.Name(int32(v)))
 		if err != nil {
@@ -102,12 +102,12 @@ func MeasureRoundtrips(m graph.DistanceOracle, perm *names.Permutation, rt Round
 	})
 }
 
-// MeasureFlights is MeasureRoundtrips on the allocation-lean runner: it
-// drives the pairs through the plane with one reused header and no
-// per-hop path recording (the traffic engine's hot-path discipline), so
-// measuring a large pair set costs O(1) headers instead of one trace per
-// pair. Routes — and therefore every reported statistic — are identical
-// to MeasureRoundtrips over the scheme's Roundtrip.
+// MeasureFlights reports stretch statistics against the metric on the
+// allocation-lean runner: it drives the pairs through the plane with one
+// reused header and no per-hop path recording (the traffic engine's
+// hot-path discipline), so measuring a large pair set costs O(1) headers
+// instead of one trace per pair. Routes — and therefore every reported
+// statistic — are identical to tracing the scheme's Roundtrip.
 func MeasureFlights(m graph.DistanceOracle, perm *names.Permutation, p sim.Plane, pairs [][2]graph.NodeID) (StretchStats, error) {
 	var hdr sim.Header
 	return measureStretch(m, pairs, func(u, v graph.NodeID) (graph.Dist, int, error) {
@@ -212,7 +212,7 @@ func Fig1(cfg Fig1Config) ([]Row, error) {
 			Back: &sim.Trace{Weight: backW, Hops: backH, Path: []graph.NodeID{src}},
 		}, nil
 	}
-	st, err := MeasureRoundtrips(m, perm, rtzRoundtrip, pairs)
+	st, err := measureRoundtrips(m, perm, rtzRoundtrip, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("eval: rtz baseline: %w", err)
 	}
@@ -230,7 +230,7 @@ func Fig1(cfg Fig1Config) ([]Row, error) {
 		return nil, err
 	}
 	build6 := time.Since(start)
-	st, err = MeasureRoundtrips(m, perm, s6.Roundtrip, pairs)
+	st, err = measureRoundtrips(m, perm, s6.Roundtrip, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("eval: stretch6: %w", err)
 	}
@@ -248,7 +248,7 @@ func Fig1(cfg Fig1Config) ([]Row, error) {
 			return nil, err
 		}
 		buildEx := time.Since(start)
-		st, err = MeasureRoundtrips(m, perm, ex.Roundtrip, pairs)
+		st, err = measureRoundtrips(m, perm, ex.Roundtrip, pairs)
 		if err != nil {
 			return nil, fmt.Errorf("eval: exstretch k=%d: %w", k, err)
 		}
@@ -267,7 +267,7 @@ func Fig1(cfg Fig1Config) ([]Row, error) {
 			return nil, err
 		}
 		buildPoly := time.Since(start)
-		st, err = MeasureRoundtrips(m, perm, poly.Roundtrip, pairs)
+		st, err = measureRoundtrips(m, perm, poly.Roundtrip, pairs)
 		if err != nil {
 			return nil, fmt.Errorf("eval: polystretch k=%d: %w", k, err)
 		}

@@ -464,9 +464,6 @@ func (g *Graph) In(u NodeID) []InEdge {
 	return g.in[u]
 }
 
-// OutDegree returns the number of out-edges of u.
-func (g *Graph) OutDegree(u NodeID) int { return len(g.out[u]) }
-
 // EdgeByPort returns the out-edge of u labeled with the given port.
 // This is the only lookup a forwarding function may use to move a packet:
 // routing tables store ports, and the simulator resolves them here. On a

@@ -184,8 +184,8 @@ func fly(g *graph.Graph, f Forwarder, src graph.NodeID, h Header, maxHops int, p
 	}
 }
 
-// FlySegment advances one leg of a packet's flight across the slice of
-// the fabric a caller owns: starting at fl.Last, it forwards while
+// SegmentRunner advances one leg of a packet's flight across the slice
+// of the fabric a caller owns: starting at fl.Last, it forwards while
 // own(current node) holds and stops — without invoking the foreign
 // node's forwarding function — as soon as the packet crosses onto a node
 // the caller does not own (delivered=false, fl.Last is that node), or
@@ -196,56 +196,11 @@ func fly(g *graph.Graph, f Forwarder, src graph.NodeID, h Header, maxHops int, p
 //
 // The caller owns the leg lifecycle: initialize fl = Flight{Last: src,
 // MaxHeaderWords: h.Words()} when the leg starts, and carry fl (plus the
-// wire-encoded header) across segment boundaries. maxHops bounds the
-// whole leg, not the segment (<= 0 selects the default 4n budget).
-func FlySegment(g *graph.Graph, f Forwarder, h Header, fl *Flight, maxHops int, own func(graph.NodeID) bool) (delivered bool, err error) {
-	if maxHops <= 0 {
-		maxHops = 4 * g.N()
-	}
-	ports := g.PortTable()
-	fixed := false
-	if fs, ok := h.(FixedSizeHeader); ok {
-		fixed = fs.FixedWords()
-	}
-	cur := fl.Last
-	for {
-		if !own(cur) {
-			return false, nil
-		}
-		port, delivered, err := f.Forward(cur, h)
-		if err != nil {
-			return false, fmt.Errorf("sim: forwarding at node %d (hop %d): %w", cur, fl.Hops, err)
-		}
-		if !fixed {
-			if w := h.Words(); w > fl.MaxHeaderWords {
-				fl.MaxHeaderWords = w
-			}
-		}
-		if delivered {
-			return true, nil
-		}
-		e, ok := ports.EdgeByPort(cur, port)
-		if !ok {
-			return false, fmt.Errorf("sim: node %d has no out-port %d", cur, port)
-		}
-		if e.Weight >= graph.DownWeight {
-			return false, &UnroutableError{At: cur, To: e.To, Hops: fl.Hops}
-		}
-		fl.Weight += e.Weight
-		cur = e.To
-		fl.Last = cur
-		if fl.Hops++; fl.Hops > maxHops {
-			return false, fmt.Errorf("sim: hop budget %d exhausted (likely routing loop) at node %d", maxHops, cur)
-		}
-	}
-}
-
-// SegmentRunner is FlySegment with the per-call setup hoisted: the port
-// table, the ownership predicate, the resolved hop budget. A cluster
-// shard drives every segment of every packet through one runner, so the
-// crossing path pays no per-segment closure construction or table
-// lookup. The runner is read-only after construction and safe for
-// concurrent use by a shard's worker pool.
+// wire-encoded header) across segment boundaries. The port table, the
+// ownership predicate and the hop budget are resolved once, so a shard
+// drives every segment of every packet through one runner. The runner is
+// read-only after construction and safe for concurrent use by a shard's
+// worker pool.
 type SegmentRunner struct {
 	f       Forwarder
 	ports   graph.PortTable
@@ -254,8 +209,8 @@ type SegmentRunner struct {
 }
 
 // NewSegmentRunner builds a runner over the caller's slice of the
-// fabric. maxHops bounds each whole leg (<= 0 selects the default 4n
-// budget). own must be safe for concurrent use.
+// fabric. maxHops bounds each whole leg, not the segment (<= 0 selects
+// the default 4n budget). own must be safe for concurrent use.
 func NewSegmentRunner(g *graph.Graph, f Forwarder, maxHops int, own func(graph.NodeID) bool) *SegmentRunner {
 	if maxHops <= 0 {
 		maxHops = 4 * g.N()
@@ -263,43 +218,9 @@ func NewSegmentRunner(g *graph.Graph, f Forwarder, maxHops int, own func(graph.N
 	return &SegmentRunner{f: f, ports: g.PortTable(), own: own, maxHops: maxHops}
 }
 
-// Fly advances one segment, with FlySegment's exact contract.
+// Fly advances one untraced segment.
 func (r *SegmentRunner) Fly(h Header, fl *Flight) (delivered bool, err error) {
-	fixed := false
-	if fs, ok := h.(FixedSizeHeader); ok {
-		fixed = fs.FixedWords()
-	}
-	cur := fl.Last
-	for {
-		if !r.own(cur) {
-			return false, nil
-		}
-		port, delivered, err := r.f.Forward(cur, h)
-		if err != nil {
-			return false, fmt.Errorf("sim: forwarding at node %d (hop %d): %w", cur, fl.Hops, err)
-		}
-		if !fixed {
-			if w := h.Words(); w > fl.MaxHeaderWords {
-				fl.MaxHeaderWords = w
-			}
-		}
-		if delivered {
-			return true, nil
-		}
-		e, ok := r.ports.EdgeByPort(cur, port)
-		if !ok {
-			return false, fmt.Errorf("sim: node %d has no out-port %d", cur, port)
-		}
-		if e.Weight >= graph.DownWeight {
-			return false, &UnroutableError{At: cur, To: e.To, Hops: fl.Hops}
-		}
-		fl.Weight += e.Weight
-		cur = e.To
-		fl.Last = cur
-		if fl.Hops++; fl.Hops > r.maxHops {
-			return false, fmt.Errorf("sim: hop budget %d exhausted (likely routing loop) at node %d", r.maxHops, cur)
-		}
-	}
+	return r.FlyHooked(h, fl, nil)
 }
 
 // HopHook observes one forwarded hop of a traced packet: the node
@@ -309,11 +230,9 @@ func (r *SegmentRunner) Fly(h Header, fl *Flight) (delivered bool, err error) {
 // intended consumer.
 type HopHook func(at graph.NodeID, hops int, weight graph.Dist)
 
-// FlyHooked advances one segment with FlySegment's exact contract,
-// invoking hook after every forwarded hop. It is a separate loop so
-// the untraced Fly — the overwhelmingly common case — carries no hook
-// test per hop; the cluster engine selects FlyHooked only for
-// roundtrips armed by the trace sampler.
+// FlyHooked advances one segment, invoking hook (when non-nil) after
+// every forwarded hop; the cluster engine passes one only for roundtrips
+// armed by the trace sampler.
 func (r *SegmentRunner) FlyHooked(h Header, fl *Flight, hook HopHook) (delivered bool, err error) {
 	fixed := false
 	if fs, ok := h.(FixedSizeHeader); ok {
@@ -349,7 +268,9 @@ func (r *SegmentRunner) FlyHooked(h Header, fl *Flight, hook HopHook) (delivered
 		if fl.Hops++; fl.Hops > r.maxHops {
 			return false, fmt.Errorf("sim: hop budget %d exhausted (likely routing loop) at node %d", r.maxHops, cur)
 		}
-		hook(cur, fl.Hops, fl.Weight)
+		if hook != nil {
+			hook(cur, fl.Hops, fl.Weight)
+		}
 	}
 }
 

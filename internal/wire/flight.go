@@ -887,9 +887,9 @@ func AppendInjectBatch(dst []byte, home int32, origin uint64, entries []InjectEn
 	return e.buf
 }
 
-// ForEachInject decodes a FrameInjectBatch, filling *f as a FrameInject
-// for each entry (Home/Origin from the batch envelope, the rest per
-// entry) and invoking fn. fn's error aborts the iteration.
+// ForEachInject decodes a FrameInjectBatch, filling *f with each entry
+// (Home/Origin from the batch envelope, the rest per entry) and invoking
+// fn. fn's error aborts the iteration.
 func ForEachInject(data []byte, f *Frame, fn func(*Frame) error) error {
 	d := &decoder{data: data}
 	kind, err := d.envelope(blobFrame)
@@ -915,7 +915,7 @@ func ForEachInject(data []byte, f *Frame, fn func(*Frame) error) error {
 		return err
 	}
 	for i := 0; i < n; i++ {
-		*f = Frame{Kind: FrameInject, Home: int32(home), Origin: origin}
+		*f = Frame{Kind: FrameInjectBatch, Home: int32(home), Origin: origin}
 		if f.SrcName, err = d.i32(); err != nil {
 			return err
 		}

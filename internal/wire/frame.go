@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"rtroute/internal/core"
 	"rtroute/internal/graph"
@@ -21,13 +20,10 @@ import (
 // FrameKind discriminates cluster frames.
 type FrameKind byte
 
-// Kind 1 is reserved: it was the retired varint packet frame, which
-// FrameFlight replaced. UnmarshalFrame rejects it as an unknown kind.
+// Kinds 1 and 2 are reserved: they were the retired varint packet frame,
+// which FrameFlight replaced, and the single inject, which
+// FrameInjectBatch replaced. Both fail as unknown kinds.
 const (
-	// FrameInject asks the shard owning SrcName's node to start a
-	// roundtrip (header creation is the source's job, so injection must
-	// land on the source's shard; a shard re-routes foreign injects).
-	FrameInject FrameKind = 2
 	// FrameDone reports a completed roundtrip back to its home.
 	FrameDone FrameKind = 3
 	// FrameInfoReq asks a shard to describe its deployment.
@@ -39,8 +35,11 @@ const (
 	// fixed offsets, and only the owning endpoints pay a full varint
 	// decode. Decode with UnmarshalFlightFrame, never UnmarshalFrame.
 	FrameFlight FrameKind = 6
-	// FrameInjectBatch carries many injects as one transport message
-	// (see AppendInjectBatch / ForEachInject in flight.go).
+	// FrameInjectBatch asks the shard owning each entry's source node to
+	// start roundtrips — header creation is the source's job, so
+	// injection must land on the source's shard, and a shard re-routes
+	// foreign entries. One message carries any number of entries (see
+	// AppendInjectBatch / ForEachInject in flight.go).
 	FrameInjectBatch FrameKind = 7
 	// FrameChurn carries one seeded topology-event batch into a shard
 	// (see AppendChurnFrame / DecodeChurnFrame in churnframe.go). A
@@ -55,7 +54,8 @@ const (
 )
 
 // ErrUnknownFrameKind is wrapped by every decode failure caused by a
-// frame kind this build does not read (including the reserved kind 1).
+// frame kind this build does not read (including the reserved kinds 1
+// and 2).
 var ErrUnknownFrameKind = errors.New("wire: unknown frame kind")
 
 // FrameDrop reasons.
@@ -127,13 +127,6 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	e := &encoder{buf: dst}
 	e.envelope(blobFrame, core.Kind(f.Kind))
 	switch f.Kind {
-	case FrameInject:
-		e.i(int64(f.SrcName))
-		e.i(int64(f.DstName))
-		e.i(int64(f.Home))
-		e.u(f.Origin)
-		e.u(f.Rt)
-		e.b(f.Sampled)
 	case FrameDone:
 		e.i(int64(f.SrcName))
 		e.i(int64(f.DstName))
@@ -180,19 +173,6 @@ func UnmarshalFrame(data []byte, f *Frame) error {
 	}
 	*f = Frame{Kind: FrameKind(kind)}
 	switch f.Kind {
-	case FrameInject:
-		if err := d.framePair(f); err != nil {
-			return err
-		}
-		if err := d.homeOrigin(f); err != nil {
-			return err
-		}
-		if f.Rt, err = d.u(); err != nil {
-			return err
-		}
-		if f.Sampled, err = d.b(); err != nil {
-			return err
-		}
 	case FrameDone:
 		if err := d.framePair(f); err != nil {
 			return err
@@ -292,21 +272,6 @@ func (d *decoder) framePair(f *Frame) error {
 		return err
 	}
 	if f.DstName, err = d.i32(); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (d *decoder) homeOrigin(f *Frame) error {
-	home, err := d.i()
-	if err != nil {
-		return err
-	}
-	if home < int64(HomeClient) || home > math.MaxInt32 {
-		return d.fail("frame home %d outside [-2, MaxInt32]", home)
-	}
-	f.Home = int32(home)
-	if f.Origin, err = d.u(); err != nil {
 		return err
 	}
 	return nil

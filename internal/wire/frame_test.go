@@ -48,9 +48,29 @@ func TestFrameRoundtrip(t *testing.T) {
 		}
 	}
 
+	// Injects travel only as batches: every entry comes back with the
+	// envelope's reply route.
+	entries := []InjectEntry{{Src: 1, Dst: 14, Sampled: true}, {Src: 3, Dst: 2, Rt: 1 << 41}}
+	blob := AppendInjectBatch(nil, 5, 12, entries)
+	var got []InjectEntry
+	var fr Frame
+	if err := ForEachInject(blob, &fr, func(f *Frame) error {
+		if f.Kind != FrameInjectBatch || f.Home != 5 || f.Origin != 12 {
+			t.Fatalf("inject entry envelope %+v, want kind %d home 5 origin 12", f, FrameInjectBatch)
+		}
+		got = append(got, InjectEntry{Src: f.SrcName, Dst: f.DstName, Rt: f.Rt, Sampled: f.Sampled})
+		return nil
+	}); err != nil {
+		t.Fatalf("inject batch: %v", err)
+	}
+	if !reflect.DeepEqual(got, entries) {
+		t.Fatalf("inject batch entries %+v, want %+v", got, entries)
+	}
+	if err := UnmarshalFrame(blob, &fr); err == nil {
+		t.Fatal("UnmarshalFrame accepted an inject batch")
+	}
+
 	for _, in := range []Frame{
-		{Kind: FrameInject, SrcName: 1, DstName: 14, Home: HomeClient, Origin: 0, Sampled: true},
-		{Kind: FrameInject, SrcName: 3, DstName: 2, Home: 5, Origin: 12},
 		{Kind: FrameDone, SrcName: 1, DstName: 14,
 			Out: LegTotals{Hops: 2, Weight: 9, MaxHeaderWords: 8}, Back: LegTotals{Hops: 4, Weight: 11, MaxHeaderWords: 8}, Origin: 12},
 		{Kind: FrameInfoReq},
@@ -74,10 +94,10 @@ func TestFrameRoundtrip(t *testing.T) {
 }
 
 // TestFrameDecodeRejects locks strictness: truncation and unknown
-// kinds — the reserved kind 1 of the retired varint packet frame
-// included — all error, unknown kinds typed.
+// kinds — the reserved kinds 1 (the retired varint packet frame) and 2
+// (the retired single inject) included — all error, unknown kinds typed.
 func TestFrameDecodeRejects(t *testing.T) {
-	blob, err := MarshalFrame(&Frame{Kind: FrameInject, SrcName: 1, DstName: 2, Home: HomeLocal})
+	blob, err := MarshalFrame(&Frame{Kind: FrameDone, SrcName: 1, DstName: 2, Origin: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +107,7 @@ func TestFrameDecodeRejects(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	for _, kind := range []FrameKind{1, 77} {
+	for _, kind := range []FrameKind{1, 2, 77} {
 		bad := append([]byte(nil), blob...)
 		bad[6] = byte(kind) // frame kind slot
 		if err := UnmarshalFrame(bad, &f); !errors.Is(err, ErrUnknownFrameKind) {

@@ -72,7 +72,6 @@ func FuzzUnmarshalFrame(f *testing.F) {
 		f.Add(mut)
 	}
 	for _, fr := range []*Frame{
-		{Kind: FrameInject, SrcName: 1, DstName: 2, Home: HomeClient},
 		{Kind: FrameDone, SrcName: 1, DstName: 2, Origin: 7},
 		{Kind: FrameInfoReq},
 		{Kind: FrameInfo, SchemeKind: 1, Nodes: 16, Shards: 8},
@@ -87,6 +86,7 @@ func FuzzUnmarshalFrame(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("RTWF\x01\x03\x01"))
+	f.Add([]byte("RTWF\x01\x03\x02")) // the retired single inject
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr Frame
 		if err := UnmarshalFrame(data, &fr); err != nil {
