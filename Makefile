@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify race short large bench bench-smoke perfbench-test fmt vet lint ci alloc-gates traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
+.PHONY: all build test verify race short large bench bench-smoke perfbench-test fmt vet lint ci alloc-gates build-determinism traffic traffic-large cluster obs churn churn-cluster docs fuzz-smoke sizes
 
 all: verify
 
@@ -37,6 +37,16 @@ ALLOC_GATES = TestDijkstraScratchZeroAllocs|TestFlyZeroAllocsPerHop|TestRoundtri
 alloc-gates:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -count=1 -run '^($(ALLOC_GATES))$$' ./internal/graph ./internal/sim ./internal/traffic ./internal/cluster || exit 1; \
+	done
+
+# The parallel build must not depend on its worker count: LocalStates
+# at BuildWorkers 1, 2 and 4 (fresh, maintained, deployed), the rtz
+# substrate, Init prefixes against full orders and ForEach's
+# stop-on-error, under the race detector at 1, 2 and 4 Ps.
+BUILD_DETERMINISM = TestParallelBuildDeterminism|TestNeighborhoodEqualsInitPrefix|TestNeighborhoodAfterInvalidate|TestForEach.*
+build-determinism:
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 -run '^($(BUILD_DETERMINISM))$$' ./internal/core ./internal/rtz ./internal/rtmetric ./internal/parallel || exit 1; \
 	done
 
 short:
@@ -127,4 +137,4 @@ vet:
 
 lint: fmt vet
 
-ci: lint build race alloc-gates traffic cluster obs churn churn-cluster docs bench-smoke perfbench-test fuzz-smoke
+ci: lint build race alloc-gates build-determinism traffic cluster obs churn churn-cluster docs bench-smoke perfbench-test fuzz-smoke

@@ -64,7 +64,7 @@ func benchRoundtrips(b *testing.B, sys *System, sch Scheme) {
 func BenchmarkFig1RTZBaseline(b *testing.B) {
 	sys := benchSystem(b, 1, 128)
 	rng := rand.New(rand.NewSource(2))
-	sub, err := rtz.New(sys.Graph, sys.Metric, rng, rtz.Config{})
+	sub, err := rtz.New(sys.Graph, sys.Metric, rng, rtz.Config{}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -127,15 +127,40 @@ func BenchmarkFig1PolyK2Roundtrip(b *testing.B) {
 	benchRoundtrips(b, sys, sch)
 }
 
-// BenchmarkBuildStretch6 measures §2 preprocessing (E3/E9).
+// BenchmarkBuildStretch6 measures §2 preprocessing (E3/E9) at n=96 and
+// at the repository benchmark's shape (n=1024, 4n extra edges, dense
+// oracle), where the parallel build stages and the ceil(sqrt n)-deep
+// Init prefixes show.
 func BenchmarkBuildStretch6(b *testing.B) {
-	sys := benchSystem(b, 11, 96)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Build(StretchSix, WithSeed(int64(i))); err != nil {
+	for _, n := range []int{96, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sys := benchSystem(b, 11, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.Build(StretchSix, WithSeed(int64(i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDeployStretch6 measures Deploy — decomposing a built
+// StretchSix into per-node LocalStates and reassembling the routers —
+// at the repository benchmark's shape.
+func BenchmarkDeployStretch6(b *testing.B) {
+	b.Run("n=1024", func(b *testing.B) {
+		sch, err := benchSystem(b, 11, 1024).Build(StretchSix, WithSeed(1))
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := Deploy(sch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkBuildExStretchK3 measures §3 preprocessing (E4).
@@ -167,7 +192,8 @@ func BenchmarkFig2BlockAssign(b *testing.B) {
 	g := RandomSC(128, 512, 6, rng)
 	m := AllPairs(g)
 	space := rtmetric.New(g, m, nil)
-	space.Init(0) // warm the order cache like a real build would
+	// Fill the neighborhood prefixes first, as the scheme builders do.
+	space.Precompute(rtmetric.NeighborhoodSizes(g.N(), 2)[1], 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a, err := blocks.Assign(space, 2, rand.New(rand.NewSource(int64(i))), blocks.Config{})
@@ -239,7 +265,7 @@ func BenchmarkLemma2RTZOneWay(b *testing.B) {
 	rng := rand.New(rand.NewSource(18))
 	g := RandomSC(128, 512, 8, rng)
 	m := AllPairs(g)
-	sub, err := rtz.New(g, m, rng, rtz.Config{})
+	sub, err := rtz.New(g, m, rng, rtz.Config{}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,20 +352,30 @@ func BenchmarkTheorem15Reduction(b *testing.B) {
 	}
 }
 
-// BenchmarkInitOrder measures the Init_v total-order computation (S2),
-// the dominant preprocessing cost after all-pairs.
+// BenchmarkInitOrder measures the Init_v total-order computation (S2):
+// the full order Init and Rank materialise, and the ceil(sqrt n)-deep
+// prefix Neighborhood selects for the stretch-6 tables.
 func BenchmarkInitOrder(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	g := RandomSC(512, 2048, 8, rng)
 	m := AllPairs(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		space := rtmetric.New(g, m, nil)
-		ord := space.Init(graph.NodeID(i % g.N()))
-		if len(ord) != g.N() {
-			b.Fatal("bad order")
+	sqrtN := rtmetric.NeighborhoodSizes(g.N(), 2)[1]
+	b.Run("full", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			space := rtmetric.New(g, m, nil)
+			if ord := space.Init(graph.NodeID(i % g.N())); len(ord) != g.N() {
+				b.Fatal("bad order")
+			}
 		}
-	}
+	})
+	b.Run("prefix=sqrt(n)", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			space := rtmetric.New(g, m, nil)
+			if nb := space.Neighborhood(graph.NodeID(i%g.N()), sqrtN); len(nb) != sqrtN {
+				b.Fatal("bad prefix")
+			}
+		}
+	})
 }
 
 // BenchmarkMetricBuild compares the cost of standing up each

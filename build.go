@@ -59,8 +59,12 @@ type BuildConfig struct {
 	// DirectReturn selects the §3.5 ExStretch variant that carries the
 	// source's globally valid label instead of the waypoint stack.
 	DirectReturn bool
-	// BuildWorkers parallelizes per-node table construction
-	// (0 = GOMAXPROCS, 1 = sequential). Output is identical either way.
+	// BuildWorkers is the worker count of construction (0 = GOMAXPROCS,
+	// 1 = sequential). It governs the Init-order fill and the per-node
+	// tables of the three TINN schemes, and the substrate's center
+	// trees, labels and clusters (StretchSix, RTZStretch3). The block
+	// assignment and the incremental repair path stay sequential.
+	// Output is identical for every value.
 	BuildWorkers int
 }
 
@@ -148,7 +152,7 @@ func (s *System) BuildWith(kind SchemeKind, cfg BuildConfig) (Scheme, error) {
 			BuildWorkers: cfg.BuildWorkers,
 		})
 	case RTZStretch3:
-		sub, err := rtz.New(s.Graph, s.Metric, rng(), cfg.Substrate)
+		sub, err := rtz.New(s.Graph, s.Metric, rng(), cfg.Substrate, cfg.BuildWorkers)
 		if err != nil {
 			return nil, err
 		}

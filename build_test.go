@@ -144,7 +144,7 @@ func TestBuildCoversLegacyConfigs(t *testing.T) {
 			"rtz-plane",
 			func() (ForwardingPlane, error) {
 				// The pre-redesign path went through the traffic adapter.
-				sub, err := rtz.New(sys.Graph, sys.Metric, coreRNG(), rtz.Config{})
+				sub, err := rtz.New(sys.Graph, sys.Metric, coreRNG(), rtz.Config{}, 0)
 				if err != nil {
 					return nil, err
 				}

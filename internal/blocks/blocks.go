@@ -90,8 +90,12 @@ func (u Universe) BlockPrefix(b BlockID, i int) int32 {
 
 // NamesInBlock returns the names {αq .. αq+q-1} ∩ [0,n) of block b.
 func (u Universe) NamesInBlock(b BlockID) []int32 {
-	var names []int32
-	for x := int(b) * u.Q; x < (int(b)+1)*u.Q && x < u.N; x++ {
+	lo, hi := int(b)*u.Q, min((int(b)+1)*u.Q, u.N)
+	if lo >= hi {
+		return nil
+	}
+	names := make([]int32, 0, hi-lo)
+	for x := lo; x < hi; x++ {
 		names = append(names, int32(x))
 	}
 	return names

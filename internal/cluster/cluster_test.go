@@ -40,7 +40,7 @@ func testDeployments(t testing.TB, n int, seed int64) (map[string]*core.Deployme
 	add("exstretch", ex, err)
 	poly, err := core.NewPolynomialStretch(g, m, perm, core.PolyConfig{K: 2})
 	add("polystretch", poly, err)
-	sub, err := rtz.New(g, m, rand.New(rand.NewSource(seed)), rtz.Config{})
+	sub, err := rtz.New(g, m, rand.New(rand.NewSource(seed)), rtz.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rtroute/internal/blocks"
 	"rtroute/internal/cover"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
+	"rtroute/internal/parallel"
 	"rtroute/internal/rtz"
+	"rtroute/internal/sealed"
 	"rtroute/internal/sim"
 	"rtroute/internal/tree"
 )
@@ -214,7 +218,8 @@ func decomposeS6(s *StretchSix) (*SchemeState, []LocalState, error) {
 	n := s.g.N()
 	st := &SchemeState{Kind: KindStretchSix, Graph: s.g, Names: s.perm.Names, ViaSource: s.viaSource}
 	locals := make([]LocalState, n)
-	for v := 0; v < n; v++ {
+	// Each node's decomposition reads only its own table: one per call.
+	_ = parallel.ForEach(n, 0, func(v int) error {
 		t := s.nodes[v]
 		loc := &S6Local{
 			SelfName:        t.selfName,
@@ -223,18 +228,10 @@ func decomposeS6(s *StretchSix) (*SchemeState, []LocalState, error) {
 			NeighborEntries: int32(t.neighborEntries),
 			Tab3:            rtzTableLocal(t.tab3),
 		}
-		if t.lbl.Built() {
-			t.lbl.Range(func(nm int32, l rtz.Label) {
-				loc.Entries = append(loc.Entries, S6Entry{Name: nm, Label: l})
-			})
-		} else {
-			for nm, l := range t.labels {
-				loc.Entries = append(loc.Entries, S6Entry{Name: nm, Label: l})
-			}
-		}
-		sort.Slice(loc.Entries, func(i, j int) bool { return loc.Entries[i].Name < loc.Entries[j].Name })
+		loc.Entries = t.entries()
 		locals[v] = LocalState{Node: graph.NodeID(v), S6: loc}
-	}
+		return nil
+	})
 	return st, locals, nil
 }
 
@@ -242,11 +239,12 @@ func rtzTableLocal(t *rtz.Table) RTZTableLocal {
 	loc := RTZTableLocal{
 		InPorts:    append([]graph.PortID(nil), t.InPorts...),
 		TreeStates: append([]tree.State(nil), t.TreeStates...),
+		Direct:     make([]RTZDirect, 0, t.DirectCount()),
 	}
 	t.DirectEntries(func(dst graph.NodeID, port graph.PortID) {
 		loc.Direct = append(loc.Direct, RTZDirect{Dst: dst, Port: port})
 	})
-	sort.Slice(loc.Direct, func(i, j int) bool { return loc.Direct[i].Dst < loc.Direct[j].Dst })
+	slices.SortFunc(loc.Direct, func(a, b RTZDirect) int { return cmp.Compare(a.Dst, b.Dst) })
 	return loc
 }
 
@@ -400,7 +398,7 @@ func localKindErr(v int, want Kind) error {
 	return fmt.Errorf("core: assemble: node %d local state is not %v state", v, want)
 }
 
-func assembleRTZTable(self graph.NodeID, loc *RTZTableLocal, centers int) (*rtz.Table, error) {
+func assembleRTZTable(self graph.NodeID, loc *RTZTableLocal, centers, n int) (*rtz.Table, error) {
 	if len(loc.InPorts) != len(loc.TreeStates) {
 		return nil, fmt.Errorf("core: assemble: node %d has %d in-ports but %d tree states",
 			self, len(loc.InPorts), len(loc.TreeStates))
@@ -415,6 +413,9 @@ func assembleRTZTable(self graph.NodeID, loc *RTZTableLocal, centers int) (*rtz.
 		Direct:     make(map[graph.NodeID]graph.PortID, len(loc.Direct)),
 	}
 	for _, d := range loc.Direct {
+		if d.Dst < 0 || int(d.Dst) >= n {
+			return nil, fmt.Errorf("core: assemble: node %d has a direct entry for node %d outside [0,%d)", self, d.Dst, n)
+		}
 		t.Direct[d.Dst] = d.Port
 	}
 	t.Seal()
@@ -425,34 +426,44 @@ func assembleS6(st *SchemeState, perm *names.Permutation, locals []LocalState) (
 	n := st.Graph.N()
 	uni := blocks.NewUniverse(n, 2)
 	s := &StretchSix{g: st.Graph, perm: perm, uni: uni, viaSource: st.ViaSource, nodes: make([]*s6Table, n)}
+	// Every node must cover node 0's center count. Nodes assemble in
+	// parallel; ForEach reports the lowest failing node, as a loop would.
 	centers := -1
-	for v := 0; v < n; v++ {
+	if loc := locals[0].S6; loc != nil {
+		centers = len(loc.Tab3.InPorts)
+	}
+	err := parallel.ForEach(n, 0, func(v int) error {
 		loc := locals[v].S6
 		if loc == nil {
-			return nil, localKindErr(v, KindStretchSix)
+			return localKindErr(v, KindStretchSix)
 		}
 		if len(loc.BlockHolder) != uni.NumBlocks() {
-			return nil, fmt.Errorf("core: assemble: node %d has %d block holders, universe has %d blocks",
+			return fmt.Errorf("core: assemble: node %d has %d block holders, universe has %d blocks",
 				v, len(loc.BlockHolder), uni.NumBlocks())
 		}
-		tab3, err := assembleRTZTable(graph.NodeID(v), &loc.Tab3, centers)
+		tab3, err := assembleRTZTable(graph.NodeID(v), &loc.Tab3, centers, n)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		centers = len(tab3.InPorts)
-		tab := &s6Table{
-			selfName:        loc.SelfName,
-			ownLabel:        loc.OwnLabel,
-			labels:          make(map[int32]rtz.Label, len(loc.Entries)),
+		for _, e := range loc.Entries {
+			if e.Name < 0 || int(e.Name) >= n {
+				return fmt.Errorf("core: assemble: node %d has a dictionary entry for name %d outside [0,%d)", v, e.Name, n)
+			}
+		}
+		s.nodes[v] = &s6Table{
+			selfName: loc.SelfName,
+			ownLabel: loc.OwnLabel,
+			lbl: sealed.CompileEach(len(loc.Entries), func(i int) (int32, rtz.Label) {
+				return loc.Entries[i].Name, loc.Entries[i].Label
+			}),
 			blockHolder:     append([]int32(nil), loc.BlockHolder...),
 			tab3:            tab3,
 			neighborEntries: int(loc.NeighborEntries),
 		}
-		for _, e := range loc.Entries {
-			tab.labels[e.Name] = e.Label
-		}
-		tab.sealLabels()
-		s.nodes[v] = tab
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -553,7 +564,7 @@ func assembleRTZ(st *SchemeState, perm *names.Permutation, locals []LocalState) 
 		if loc == nil {
 			return nil, localKindErr(v, KindRTZ)
 		}
-		t, err := assembleRTZTable(graph.NodeID(v), &loc.Table, centers)
+		t, err := assembleRTZTable(graph.NodeID(v), &loc.Table, centers, n)
 		if err != nil {
 			return nil, err
 		}

@@ -152,8 +152,9 @@ type ExStretchConfig struct {
 	// The paper notes this costs "longer headers and two sets of routing
 	// tables" for a worse worst case — the E4 ablation measures it.
 	DirectReturn bool
-	// BuildWorkers parallelizes per-node table construction
-	// (0 = GOMAXPROCS, 1 = sequential). Output is identical either way.
+	// BuildWorkers is the worker count of the Init-order fill and the
+	// per-node table build (0 = GOMAXPROCS, 1 = sequential). Output is
+	// identical for every value.
 	BuildWorkers int
 }
 
@@ -183,6 +184,9 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 	if err != nil {
 		return nil, fmt.Errorf("core: hop substrate: %w", err)
 	}
+	// The tables walk whole Init orders; filling them on every core
+	// first leaves the serial block assignment only cache reads.
+	space.Precompute(n, cfg.BuildWorkers)
 	bcfg := cfg.Blocks
 	bcfg.Names = perm.Names
 	assign, err := blocks.Assign(space, cfg.K, rng, bcfg)
@@ -204,7 +208,6 @@ func NewExStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutatio
 
 	// Per-node tables read only shared immutable state (hierarchy,
 	// assignment, Init orders); build them in parallel.
-	space.Precompute(cfg.BuildWorkers)
 	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
 		tab := &exTable{
 			selfName:  perm.Name(int32(u)),

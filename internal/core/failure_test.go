@@ -175,3 +175,34 @@ func TestRoundtripToUnknownNamePanicsSafely(t *testing.T) {
 		t.Fatalf("scheme corrupted by bad call: %v", err)
 	}
 }
+
+// TestAssembleRejectsOutOfRangeKeys: decoded local state is outside
+// input, and a dictionary name or direct-entry destination outside
+// [0,n) must fail the assembly typed. A negative one used to reach the
+// probe-table compiler and panic.
+func TestAssembleRejectsOutOfRangeKeys(t *testing.T) {
+	_, _, schemes := buildAllSchemes(t, 9, 24)
+	cases := []struct {
+		name   string
+		mutate func(*S6Local)
+	}{
+		{"negative dictionary name", func(l *S6Local) { l.Entries[0].Name = -1 }},
+		{"dictionary name past n", func(l *S6Local) { l.Entries[len(l.Entries)-1].Name = 24 }},
+		{"negative direct destination", func(l *S6Local) { l.Tab3.Direct[0].Dst = -3 }},
+	}
+	for _, c := range cases {
+		st, locals, err := Decompose(schemes[0].(*StretchSix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A node past 0, so the failure surfaces from a pool worker.
+		v := len(locals) - 1
+		for len(locals[v].S6.Tab3.Direct) == 0 {
+			v--
+		}
+		c.mutate(locals[v].S6)
+		if _, err := Assemble(st, locals); err == nil || !strings.Contains(err.Error(), "outside [0,24)") {
+			t.Fatalf("%s: Assemble returned %v, want an out-of-range error", c.name, err)
+		}
+	}
+}

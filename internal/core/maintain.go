@@ -8,6 +8,7 @@ import (
 	"rtroute/internal/blocks"
 	"rtroute/internal/graph"
 	"rtroute/internal/names"
+	"rtroute/internal/parallel"
 	"rtroute/internal/rtmetric"
 	"rtroute/internal/rtz"
 )
@@ -81,11 +82,13 @@ func NewStretchSixMaintained(g *graph.Graph, m graph.DistanceOracle, perm *names
 	}
 	space := rtmetric.New(g, m, perm.Names)
 	rng := rand.New(rand.NewSource(seed))
-	subM, err := rtz.NewMaintained(g, m, rng, cfg.Substrate)
+	subM, err := rtz.NewMaintained(g, m, rng, cfg.Substrate, cfg.BuildWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("core: stretch-3 substrate: %w", err)
 	}
 	sub := subM.Scheme()
+	nbhdSize := rtmetric.NeighborhoodSizes(n, 2)[1]
+	space.Precompute(nbhdSize, cfg.BuildWorkers) // as in NewStretchSix
 	bcfg := cfg.Blocks
 	bcfg.Names = perm.Names
 	assign, err := blocks.Assign(space, 2, rng, bcfg)
@@ -102,16 +105,20 @@ func NewStretchSixMaintained(g *graph.Graph, m graph.DistanceOracle, perm *names
 		subM:     subM,
 		space:    space,
 		assign:   assign,
-		nbhdSize: rtmetric.NeighborhoodSizes(n, 2)[1],
+		nbhdSize: nbhdSize,
 		holders:  make(map[int32][]graph.NodeID),
 	}
-	space.Precompute(cfg.BuildWorkers)
-	for u := 0; u < n; u++ {
-		tab, err := buildS6Node(u, perm, sub, space, assign, mt.nbhdSize)
-		if err != nil {
-			return nil, err
-		}
+	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
+		tab, err := buildS6Node(u, perm, sub, space, assign, nbhdSize, true)
 		mt.s.nodes[u] = tab
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The holders index is shared across nodes, so it is filled after
+	// the parallel build, in node order.
+	for u, tab := range mt.s.nodes {
 		for nm := range tab.labels {
 			mt.holders[nm] = append(mt.holders[nm], graph.NodeID(u))
 		}
@@ -191,7 +198,7 @@ func (mt *S6Maintainer) RebuildNodesOwned(dirty []graph.NodeID, owned func(graph
 			continue
 		}
 		old := mt.s.nodes[u]
-		tab, err := buildS6Node(int(u), mt.perm, mt.subM.Scheme(), mt.space, assign, mt.nbhdSize)
+		tab, err := buildS6Node(int(u), mt.perm, mt.subM.Scheme(), mt.space, assign, mt.nbhdSize, true)
 		if err != nil {
 			return rep, err
 		}

@@ -108,8 +108,9 @@ type PolyConfig struct {
 	// Variant selects the cover construction (default Awerbuch–Peleg;
 	// the §4.4 discussion explains why ball-growing weakens the scheme).
 	Variant cover.Variant
-	// BuildWorkers parallelizes per-node table construction
-	// (0 = GOMAXPROCS, 1 = sequential). Output is identical either way.
+	// BuildWorkers is the worker count of the Init-order fill and the
+	// per-node table build (0 = GOMAXPROCS, 1 = sequential). Output is
+	// identical for every value.
 	BuildWorkers int
 }
 
@@ -137,7 +138,7 @@ func NewPolynomialStretch(g *graph.Graph, m graph.DistanceOracle, perm *names.Pe
 	uni := blocks.NewUniverse(n, cfg.K)
 
 	s := &PolynomialStretch{g: g, perm: perm, hier: hier, uni: uni, k: cfg.K, levels: len(hier.Levels), nodes: make([]*polyTable, n)}
-	space.Precompute(cfg.BuildWorkers)
+	space.Precompute(n, cfg.BuildWorkers)
 	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
 		tab := &polyTable{
 			selfName: perm.Name(int32(u)),

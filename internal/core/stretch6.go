@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"rtroute/internal/blocks"
 	"rtroute/internal/graph"
@@ -37,12 +38,12 @@ type StretchSix struct {
 type s6Table struct {
 	selfName int32
 	ownLabel rtz.Label
-	// labels merges storage items (1) and (3): destination name -> R3.
-	// Builder state only: sealLabels compiles it into the probe table
-	// the forwarding hot path reads and then drops the map, so a
-	// long-lived serving plane does not hold the dictionary twice.
-	labels map[int32]rtz.Label
+	// lbl merges storage items (1) and (3), destination name -> R3, as
+	// the probe table the forwarding hot path reads. A maintained plane
+	// holds them in the labels map instead, which the maintainer patches
+	// in place; a table has exactly one of the two.
 	lbl    sealed.Table[rtz.Label]
+	labels map[int32]rtz.Label
 	// blockHolder is storage item (2): block id -> name of a
 	// neighborhood node holding that block.
 	blockHolder []int32
@@ -52,14 +53,7 @@ type s6Table struct {
 	neighborEntries int // size of (1), for accounting
 }
 
-// sealLabels compiles the labels map into the probe table and releases
-// the builder map.
-func (t *s6Table) sealLabels() {
-	t.lbl = sealed.Compile(t.labels)
-	t.labels = nil
-}
-
-// label resolves a destination name against the sealed dictionary.
+// label resolves a destination name against the dictionary.
 func (t *s6Table) label(name int32) (rtz.Label, bool) {
 	if !t.lbl.Built() {
 		l, ok := t.labels[name]
@@ -68,12 +62,30 @@ func (t *s6Table) label(name int32) (rtz.Label, bool) {
 	return t.lbl.Get(name)
 }
 
+// entries returns the dictionary, items (1)+(3), sorted by name —
+// sealed or not. Sorting the int32 names and probing each back is much
+// cheaper than sorting the (name, label) pairs.
+func (t *s6Table) entries() []S6Entry {
+	names := make([]int32, 0, t.lbl.Len()+len(t.labels))
+	t.lbl.Range(func(nm int32, _ rtz.Label) { names = append(names, nm) })
+	for nm := range t.labels {
+		names = append(names, nm)
+	}
+	slices.Sort(names)
+	out := make([]S6Entry, len(names))
+	for i, nm := range names {
+		l, _ := t.label(nm)
+		out[i] = S6Entry{Name: nm, Label: l}
+	}
+	return out
+}
+
 func (t *s6Table) words() int {
 	w := 2 + t.ownLabel.Words() + t.tab3.Words() + 2*len(t.blockHolder)
 	t.lbl.Range(func(_ int32, l rtz.Label) {
 		w += 1 + l.Words()
 	})
-	for _, l := range t.labels { // unsealed builder state, if any
+	for _, l := range t.labels { // a maintained table's dictionary
 		w += 1 + l.Words()
 	}
 	return w
@@ -187,8 +199,11 @@ type Stretch6Config struct {
 	// since it always routes back through s" — the E3 ablation measures
 	// exactly that.
 	ViaSource bool
-	// BuildWorkers parallelizes per-node table construction
-	// (0 = GOMAXPROCS, 1 = sequential). Output is identical either way.
+	// BuildWorkers is the worker count of every parallel build stage
+	// (0 = GOMAXPROCS, 1 = sequential): the substrate's center trees,
+	// labels and clusters, the Init-prefix fill and the per-node tables.
+	// The block assignment and the incremental repair path stay
+	// sequential. Output is identical for every value.
 	BuildWorkers int
 }
 
@@ -203,10 +218,15 @@ func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutati
 		return nil, fmt.Errorf("core: naming covers %d nodes, graph has %d", perm.N(), n)
 	}
 	space := rtmetric.New(g, m, perm.Names)
-	sub, err := rtz.New(g, m, rng, cfg.Substrate)
+	sub, err := rtz.New(g, m, rng, cfg.Substrate, cfg.BuildWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("core: stretch-3 substrate: %w", err)
 	}
+	nbhdSize := rtmetric.NeighborhoodSizes(n, 2)[1]
+	// Lemma 1's verifier and every table read only the ceil(sqrt n)-deep
+	// Init prefixes. Fill them on every core first, so the serial block
+	// assignment and the parallel table build below only read the cache.
+	space.Precompute(nbhdSize, cfg.BuildWorkers)
 	bcfg := cfg.Blocks
 	bcfg.Names = perm.Names
 	assign, err := blocks.Assign(space, 2, rng, bcfg)
@@ -215,19 +235,10 @@ func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutati
 	}
 
 	s := &StretchSix{g: g, perm: perm, sub: sub, uni: assign.U, viaSource: cfg.ViaSource, nodes: make([]*s6Table, n)}
-	nbhdSize := rtmetric.NeighborhoodSizes(n, 2)[1]
-
-	// Per-node tables depend only on read-only shared state; fill the
-	// Init cache first, then build nodes in parallel.
-	space.Precompute(cfg.BuildWorkers)
 	err = parallel.ForEach(n, cfg.BuildWorkers, func(u int) error {
-		tab, err := buildS6Node(u, perm, sub, space, assign, nbhdSize)
-		if err != nil {
-			return err
-		}
-		tab.sealLabels()
+		tab, err := buildS6Node(u, perm, sub, space, assign, nbhdSize, false)
 		s.nodes[u] = tab
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -236,15 +247,15 @@ func NewStretchSix(g *graph.Graph, m graph.DistanceOracle, perm *names.Permutati
 }
 
 // buildS6Node constructs one node's §2.1 table from the shared read-only
-// build state. It is the unit of work both the fresh builder (which then
-// seals the label map) and the incremental maintainer (which keeps it
-// patchable) run per node.
-func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetric.Space, assign *blocks.Assignment, nbhdSize int) (*s6Table, error) {
+// build state. It is the unit of work both the fresh builder and the
+// incremental maintainer run per node: the fresh builder compiles the
+// dictionary straight into the probe table, the maintainer (patchable)
+// keeps it as a map it can patch in place.
+func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetric.Space, assign *blocks.Assignment, nbhdSize int, patchable bool) (*s6Table, error) {
 	numBlocks := assign.U.NumBlocks()
 	tab := &s6Table{
 		selfName:    perm.Name(int32(u)),
 		ownLabel:    sub.LabelOf(graph.NodeID(u)),
-		labels:      make(map[int32]rtz.Label),
 		blockHolder: make([]int32, numBlocks),
 		tab3:        sub.Tables[u],
 	}
@@ -252,11 +263,22 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 		tab.blockHolder[i] = -1
 	}
 	nbhd := space.Neighborhood(graph.NodeID(u), nbhdSize)
-	// (1) neighborhood dictionary.
-	for _, v := range nbhd {
-		tab.labels[perm.Name(int32(v))] = sub.LabelOf(v)
-	}
 	tab.neighborEntries = len(nbhd)
+	// Items (3) and (1) as (name, R3) pairs, each name once: the probe
+	// table is sized by the entry count, so duplicates would inflate it.
+	dict := make([]S6Entry, 0, len(nbhd)+len(assign.Sets[u])*assign.U.Q)
+	// (3) dictionary entries of the blocks stored here.
+	for _, b := range assign.Sets[u] {
+		for _, nm := range assign.U.NamesInBlock(b) {
+			dict = append(dict, S6Entry{Name: nm, Label: sub.LabelOf(graph.NodeID(perm.Node(nm)))})
+		}
+	}
+	// (1) neighborhood dictionary, less the names (3) already holds.
+	for _, v := range nbhd {
+		if nm := perm.Name(int32(v)); !assign.HoldsBlock(graph.NodeID(u), assign.U.BlockOf(nm)) {
+			dict = append(dict, S6Entry{Name: nm, Label: sub.LabelOf(v)})
+		}
+	}
 	// (2) block holders: the Init_u-nearest holder in N(u).
 	for _, v := range nbhd {
 		for _, b := range assign.Sets[v] {
@@ -272,12 +294,13 @@ func buildS6Node(u int, perm *names.Permutation, sub *rtz.Scheme, space *rtmetri
 			return nil, fmt.Errorf("core: node %d has no holder for block %d in its neighborhood", u, b)
 		}
 	}
-	// (3) dictionary entries of the blocks stored here.
-	for _, b := range assign.Sets[u] {
-		for _, nm := range assign.U.NamesInBlock(b) {
-			v := perm.Node(nm)
-			tab.labels[nm] = sub.LabelOf(graph.NodeID(v))
+	if patchable {
+		tab.labels = make(map[int32]rtz.Label, len(dict))
+		for _, e := range dict {
+			tab.labels[e.Name] = e.Label
 		}
+	} else {
+		tab.lbl = sealed.CompileEach(len(dict), func(i int) (int32, rtz.Label) { return dict[i].Name, dict[i].Label })
 	}
 	return tab, nil
 }

@@ -191,7 +191,7 @@ func Fig1(cfg Fig1Config) ([]Row, error) {
 
 	// Baseline: the name-dependent RTZ substrate ([35]'s role).
 	start := time.Now()
-	sub, err := rtz.New(g, m, rng, rtz.Config{})
+	sub, err := rtz.New(g, m, rng, rtz.Config{}, 0)
 	if err != nil {
 		return nil, err
 	}

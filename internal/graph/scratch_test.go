@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -149,6 +150,38 @@ func TestSSSPScratchMatchesPackageDijkstra(t *testing.T) {
 			if got.Dist[v] != want.Dist[v] || got.Parent[v] != want.Parent[v] {
 				t.Fatalf("root %d node %d: scratch (%d,%d) != fresh (%d,%d)",
 					root, v, got.Dist[v], got.Parent[v], want.Dist[v], want.Parent[v])
+			}
+		}
+	}
+}
+
+// TestDijkstraRevWithinMatchesFullRun: a limited reverse run agrees with
+// the full one on every node closer to the sink than the limit — distance
+// and next hop, ties included (unit weights) — and reports Inf / -1 for
+// the rest; the scratch's next full run is unaffected by the nodes a
+// limit left in the heap.
+func TestDijkstraRevWithinMatchesFullRun(t *testing.T) {
+	for _, maxW := range []Dist{1, 9} {
+		rng := rand.New(rand.NewSource(17))
+		g := RandomSC(80, 240, maxW, rng)
+		s := NewSSSPScratch(g.N())
+		for sink := 0; sink < g.N(); sink += 3 {
+			want := DijkstraRev(g, NodeID(sink))
+			for _, limit := range []Dist{0, 1, 2, 5, 12, Inf} {
+				got := s.DijkstraRevWithin(g, NodeID(sink), limit)
+				for v := range want.Dist {
+					wd, wp := want.Dist[v], want.Parent[v]
+					if wd >= limit {
+						wd, wp = Inf, -1
+					}
+					if got.Dist[v] != wd || got.Parent[v] != wp {
+						t.Fatalf("maxW=%d sink %d limit %d node %d: (%d,%d), want (%d,%d)",
+							maxW, sink, limit, v, got.Dist[v], got.Parent[v], wd, wp)
+					}
+				}
+			}
+			if full := s.DijkstraRev(g, NodeID(sink)); !slices.Equal(full.Dist, want.Dist) || !slices.Equal(full.Parent, want.Parent) {
+				t.Fatalf("sink %d: full run after a limited one differs", sink)
 			}
 		}
 	}

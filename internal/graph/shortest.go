@@ -189,33 +189,45 @@ func (s *SSSPScratch) relax(v NodeID, nd Dist, parent NodeID) {
 // the scratch's buffers: zero allocations in steady state. The returned
 // slices alias the scratch and are valid until its next run.
 func (s *SSSPScratch) Dijkstra(g *Graph, src NodeID) SSSP {
-	return s.run(g, src, false, nil)
+	return s.run(g, src, false, nil, Inf)
 }
 
 // DijkstraRev computes, for every node v, the shortest distance from v TO
 // sink, running over in-edges; Parent[v] is v's next hop toward the sink.
 // Same reuse contract as Dijkstra.
 func (s *SSSPScratch) DijkstraRev(g *Graph, sink NodeID) SSSP {
-	return s.run(g, sink, true, nil)
+	return s.run(g, sink, true, nil, Inf)
 }
 
 // DijkstraRestricted is Dijkstra over the subgraph induced by the nodes
 // with inSet[v] true (the root is always traversed). Nodes outside the
 // set report Inf / -1.
 func (s *SSSPScratch) DijkstraRestricted(g *Graph, src NodeID, inSet []bool) SSSP {
-	return s.run(g, src, false, inSet)
+	return s.run(g, src, false, inSet, Inf)
 }
 
 // DijkstraRevRestricted is DijkstraRev over the subgraph induced by inSet.
 func (s *SSSPScratch) DijkstraRevRestricted(g *Graph, sink NodeID, inSet []bool) SSSP {
-	return s.run(g, sink, true, inSet)
+	return s.run(g, sink, true, inSet, Inf)
+}
+
+// DijkstraRevWithin is DijkstraRev settling only the nodes within
+// distance limit of the sink: a node v with d(v, sink) < limit gets the
+// distance and next hop DijkstraRev would give it, every other node
+// reports Inf / -1. The run stops at the first node at distance limit or
+// more, so its cost tracks the ball it settles, not the graph.
+func (s *SSSPScratch) DijkstraRevWithin(g *Graph, sink NodeID, limit Dist) SSSP {
+	return s.run(g, sink, true, nil, limit)
 }
 
 // run is the single Dijkstra loop behind every variant. When the graph is
 // sealed it walks the flat CSR arrays directly (one index load for the
 // whole run instead of one per pop); otherwise it uses the per-node build
-// slices.
-func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSSP {
+// slices. Nodes are settled in (distance, id) order until the heap
+// empties or its minimum reaches limit; a node's distance and parent are
+// final once settled, so a limited run agrees with an unlimited one on
+// every node it settles.
+func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool, limit Dist) SSSP {
 	n := g.N()
 	s.ensure(n)
 	s.begin()
@@ -224,7 +236,7 @@ func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSS
 	s.parent[root] = -1
 	s.push(root, 0)
 	idx := g.idx.Load()
-	for len(s.heap) > 0 {
+	for len(s.heap) > 0 && s.heap[0].dist < limit {
 		top := s.popMin()
 		u, du := top.node, top.dist
 		if reverse {
@@ -255,11 +267,12 @@ func (s *SSSPScratch) run(g *Graph, root NodeID, reverse bool, inSet []bool) SSS
 			}
 		}
 	}
-	// Normalize untouched entries so the returned rows are complete: one
-	// predictable compare per node, writes only for unreached nodes.
+	// Normalize untouched entries, and those a limit left unsettled in
+	// the heap, so the returned rows are complete: one predictable
+	// compare per node, writes only for unreached nodes.
 	ep := s.epoch
 	for v := 0; v < n; v++ {
-		if s.stamp[v] != ep {
+		if s.stamp[v] != ep || s.pos[v] >= 0 {
 			s.dist[v] = Inf
 			s.parent[v] = -1
 		}

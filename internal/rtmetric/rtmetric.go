@@ -6,13 +6,13 @@
 package rtmetric
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"rtroute/internal/graph"
+	"rtroute/internal/parallel"
 )
 
 // Space bundles a graph, a distance oracle, and (lazily computed) Init_v
@@ -23,13 +23,20 @@ import (
 // Building Init_v touches only the two distance rows anchored at v
 // (d(v,·) and d(·,v)), so a Space over a lazy oracle costs two Dijkstras
 // per ordered node instead of an eager all-pairs pass.
+//
+// Orders are materialised only as deep as callers read: Neighborhood
+// selects and sorts just the requested prefix, while Init and Rank sort
+// all n nodes. The cache is not safe for concurrent fills; parallel
+// builders call Precompute once and then read the orders freely.
 type Space struct {
 	G   *graph.Graph
 	M   graph.DistanceOracle
 	ids []int32
 
-	initOrders [][]graph.NodeID // lazily filled per source node
-	ranks      [][]int32        // ranks[v][u] = position of u in Init_v
+	// orders[v] holds the leading entries of Init_v materialised so
+	// far: a prefix after Neighborhood, all n nodes after Init.
+	orders [][]graph.NodeID
+	ranks  [][]int32 // ranks[v][u] = position of u in Init_v, once full
 }
 
 // New creates a Space over g with a distance oracle m. If ids is nil the
@@ -48,11 +55,11 @@ func New(g *graph.Graph, m graph.DistanceOracle, ids []int32) *Space {
 		}
 	}
 	return &Space{
-		G:          g,
-		M:          m,
-		ids:        ids,
-		initOrders: make([][]graph.NodeID, g.N()),
-		ranks:      make([][]int32, g.N()),
+		G:      g,
+		M:      m,
+		ids:    ids,
+		orders: make([][]graph.NodeID, g.N()),
+		ranks:  make([][]int32, g.N()),
 	}
 }
 
@@ -70,49 +77,105 @@ func (s *Space) Less(v, a, b graph.NodeID) bool {
 	return s.ids[a] < s.ids[b]
 }
 
-// orderFor materializes Init_v and its rank array. It fetches the two
-// distance rows anchored at v once and sorts on them directly, so the
-// comparator never goes back to the oracle: O(n log n) with exactly one
-// FromSource and one ToSink fetch regardless of oracle kind.
-func (s *Space) orderFor(v graph.NodeID) ([]graph.NodeID, []int32) {
+// rowOrder is ≺_v evaluated on the two distance rows anchored at v, so
+// comparisons never go back to the oracle. Both the full sort and the
+// prefix selection use cmp, which is why a prefix always equals the
+// head of the full order.
+type rowOrder struct {
+	fwd, rev []graph.Dist // d(v, ·) and d(·, v)
+	ids      []int32
+}
+
+func (o *rowOrder) cmp(a, b graph.NodeID) int {
+	ra, rb := graph.RFromRows(o.fwd, o.rev, a), graph.RFromRows(o.fwd, o.rev, b)
+	if ra != rb {
+		return cmp.Compare(ra, rb)
+	}
+	if o.rev[a] != o.rev[b] {
+		return cmp.Compare(o.rev[a], o.rev[b])
+	}
+	return cmp.Compare(o.ids[a], o.ids[b])
+}
+
+// smallest returns the m ≺_v-smallest nodes in order: a bounded max-heap
+// keeps the m best seen so far, O(n log m), and only those m are sorted.
+func (o *rowOrder) smallest(m int) []graph.NodeID {
+	h := make([]graph.NodeID, 0, m)
+	for u := range len(o.fwd) {
+		x := graph.NodeID(u)
+		if len(h) < m {
+			h = append(h, x)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if o.cmp(h[p], h[i]) >= 0 {
+					break
+				}
+				h[p], h[i] = h[i], h[p]
+				i = p
+			}
+			continue
+		}
+		if o.cmp(x, h[0]) >= 0 {
+			continue
+		}
+		h[0] = x
+		for i := 0; ; {
+			c := 2*i + 1
+			if c >= m {
+				break
+			}
+			if c+1 < m && o.cmp(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if o.cmp(h[i], h[c]) >= 0 {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	slices.SortFunc(h, o.cmp)
+	return h
+}
+
+// fill materialises at least size leading entries of Init_v (size in
+// [1, n]) and returns the cached order. It fetches the two rows anchored
+// at v once — one FromSource and one ToSink regardless of oracle kind —
+// and writes only v's cache slots, so fills of distinct nodes may run
+// concurrently.
+func (s *Space) fill(v graph.NodeID, size int) []graph.NodeID {
+	if ord := s.orders[v]; len(ord) >= size {
+		return ord
+	}
 	n := s.G.N()
-	fwd := s.M.FromSource(v) // d(v, u)
-	rev := s.M.ToSink(v)     // d(u, v)
-	key := make([]graph.Dist, n)
-	for u := 0; u < n; u++ {
-		key[u] = graph.RFromRows(fwd, rev, graph.NodeID(u)) // r(v, u)
+	o := rowOrder{fwd: s.M.FromSource(v), rev: s.M.ToSink(v), ids: s.ids}
+	if size < n {
+		ord := o.smallest(size)
+		s.orders[v] = ord
+		return ord
 	}
 	ord := make([]graph.NodeID, n)
 	for i := range ord {
 		ord[i] = graph.NodeID(i)
 	}
-	sort.Slice(ord, func(i, j int) bool {
-		a, b := ord[i], ord[j]
-		if key[a] != key[b] {
-			return key[a] < key[b]
-		}
-		if rev[a] != rev[b] {
-			return rev[a] < rev[b]
-		}
-		return s.ids[a] < s.ids[b]
-	})
+	slices.SortFunc(ord, o.cmp)
 	rank := make([]int32, n)
 	for i, u := range ord {
 		rank[u] = int32(i)
 	}
-	return ord, rank
+	s.orders[v], s.ranks[v] = ord, rank
+	return ord
+}
+
+// clamp bounds a prefix size to [1, n].
+func (s *Space) clamp(size int) int {
+	return max(1, min(size, s.G.N()))
 }
 
 // Init returns the total order Init_v = v ≺_v u1 ≺_v u2 ≺_v ... over all
 // n nodes. The returned slice is cached and must not be modified.
 func (s *Space) Init(v graph.NodeID) []graph.NodeID {
-	if ord := s.initOrders[v]; ord != nil {
-		return ord
-	}
-	ord, rank := s.orderFor(v)
-	s.initOrders[v] = ord
-	s.ranks[v] = rank
-	return ord
+	return s.fill(v, s.G.N())
 }
 
 // Rank returns the position of u in Init_v (0 for u == v).
@@ -123,15 +186,10 @@ func (s *Space) Rank(v, u graph.NodeID) int {
 
 // Neighborhood returns the first size nodes of Init_v (v itself included,
 // as in the paper where Init_v begins with v). size is clamped to [1, n].
+// Only the prefix is materialised; it equals Init(v)[:size].
 func (s *Space) Neighborhood(v graph.NodeID, size int) []graph.NodeID {
-	n := s.G.N()
-	if size < 1 {
-		size = 1
-	}
-	if size > n {
-		size = n
-	}
-	return s.Init(v)[:size]
+	size = s.clamp(size)
+	return s.fill(v, size)[:size]
 }
 
 // Contains reports whether u is among the first size nodes of Init_v,
@@ -153,48 +211,30 @@ func (s *Space) Ball(v graph.NodeID, m graph.Dist) []graph.NodeID {
 	return ball
 }
 
-// Precompute fills the Init_v cache for every node using a worker pool.
-// The lazy cache is not safe for concurrent fills, so parallel scheme
-// builders call Precompute once and then read the orders freely.
-// workers <= 0 selects GOMAXPROCS.
-func (s *Space) Precompute(workers int) {
-	n := s.G.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	src := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range src {
-				ord, rank := s.orderFor(graph.NodeID(v))
-				// Each worker writes only its own v's slots: disjoint.
-				s.initOrders[v] = ord
-				s.ranks[v] = rank
-			}
-		}()
-	}
-	for v := 0; v < n; v++ {
-		src <- v
-	}
-	close(src)
-	wg.Wait()
+// Precompute materialises, for every node v, at least the first size
+// entries of Init_v (clamped to [1, n]; size n also fills the ranks)
+// across a worker pool; workers <= 0 selects GOMAXPROCS. Afterwards
+// Neighborhood up to size — and, at size n, Init and Rank — only read
+// the cache, so parallel scheme builders may call them concurrently.
+func (s *Space) Precompute(size, workers int) {
+	size = s.clamp(size)
+	// Each call writes only its own v's slots: disjoint.
+	_ = parallel.ForEach(s.G.N(), workers, func(v int) error {
+		s.fill(graph.NodeID(v), size)
+		return nil
+	})
 }
 
-// InvalidateOrders drops the cached Init_v orders of the given nodes so
-// they are recomputed — against the oracle's current rows — on next
-// access. The incremental maintainers call this with the churn dirty set:
-// a node outside the may-use affected set of a topology event has
-// bit-identical distance rows in both directions, hence a bit-identical
-// Init order, so its cache entry stays valid across the mutation.
+// InvalidateOrders drops the cached Init_v orders of the given nodes,
+// whatever their depth, so they are recomputed — against the oracle's
+// current rows — on next access. The incremental maintainers call this
+// with the churn dirty set: a node outside the may-use affected set of a
+// topology event has bit-identical distance rows in both directions,
+// hence a bit-identical Init order, so its cache entry stays valid
+// across the mutation.
 func (s *Space) InvalidateOrders(nodes []graph.NodeID) {
 	for _, v := range nodes {
-		s.initOrders[v] = nil
+		s.orders[v] = nil
 		s.ranks[v] = nil
 	}
 }

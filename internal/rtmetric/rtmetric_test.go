@@ -2,6 +2,7 @@ package rtmetric
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,4 +243,83 @@ func TestNeighborhoodSizesMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// requirePrefixesMatchInit checks Neighborhood(v, m) == Init(v)[:m] for
+// every v and m in {1, ceil(sqrt n), n}. fresh supplies a Space whose
+// cache starts empty, so each prefix comes from the selection kernel
+// rather than from slicing a cached full order.
+func requirePrefixesMatchInit(t *testing.T, fresh func() *Space, full *Space) {
+	t.Helper()
+	n := full.G.N()
+	for _, m := range []int{1, NeighborhoodSizes(n, 2)[1], n} {
+		s := fresh()
+		s.Precompute(m, 0)
+		for v := 0; v < n; v++ {
+			got := s.Neighborhood(graph.NodeID(v), m)
+			want := full.Init(graph.NodeID(v))[:m]
+			if !slices.Equal(got, want) {
+				t.Fatalf("m=%d: Neighborhood(%d) = %v, Init prefix %v", m, v, got, want)
+			}
+		}
+	}
+}
+
+// TestNeighborhoodEqualsInitPrefix: the prefix kernel selects and sorts
+// only m entries under the same comparator as the full sort, so every
+// prefix is the head of Init_v — on a graph with spread weights, and on
+// a tie-heavy one (all weights 1, random IDs) where the ID tie-break
+// decides most positions.
+func TestNeighborhoodEqualsInitPrefix(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		maxW graph.Dist
+	}{{"spread", 9}, {"ties", 1}} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			g := graph.RandomSC(70, 200, c.maxW, rng)
+			m := graph.AllPairs(g)
+			ids := make([]int32, g.N())
+			for i, p := range rng.Perm(g.N()) {
+				ids[i] = int32(p)
+			}
+			requirePrefixesMatchInit(t, func() *Space { return New(g, m, ids) }, New(g, m, ids))
+		})
+	}
+}
+
+// TestNeighborhoodAfterInvalidate: after a mutation, InvalidateOrders
+// drops a cached prefix whatever its depth, and the refilled prefix
+// matches a from-scratch Space over the mutated graph.
+func TestNeighborhoodAfterInvalidate(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	g := graph.RandomSC(60, 180, 1, rng)
+	o := graph.NewLazyOracle(g, 0)
+	s := New(g, o, nil)
+	n := g.N()
+	size := NeighborhoodSizes(n, 2)[1]
+	s.Precompute(size, 0)
+	s.Init(3) // one full order and rank array too
+
+	u := graph.NodeID(5)
+	e := g.Out(u)[0]
+	if err := g.SetEdgeWeight(u, e.To, 40); err != nil {
+		t.Fatal(err)
+	}
+	all := make([]graph.NodeID, n)
+	for i := range all {
+		all[i] = graph.NodeID(i)
+	}
+	s.InvalidateOrders(all)
+	full := New(g, graph.AllPairs(g), nil)
+	for v := 0; v < n; v++ {
+		got := s.Neighborhood(graph.NodeID(v), size)
+		if want := full.Init(graph.NodeID(v))[:size]; !slices.Equal(got, want) {
+			t.Fatalf("Neighborhood(%d) after invalidation = %v, want %v", v, got, want)
+		}
+		if r := s.Rank(graph.NodeID(v), graph.NodeID(v)); r != 0 {
+			t.Fatalf("Rank(%d,%d) = %d after invalidation, want 0", v, v, r)
+		}
+	}
+	requirePrefixesMatchInit(t, func() *Space { return New(g, o, nil) }, full)
 }

@@ -17,7 +17,7 @@ func Example() {
 	g := graph.RandomSC(32, 128, 8, rng)
 	m := graph.AllPairs(g)
 
-	sub, err := rtz.New(g, m, rng, rtz.Config{})
+	sub, err := rtz.New(g, m, rng, rtz.Config{}, 0)
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -69,10 +69,11 @@ type MaintainReport struct {
 // NewMaintained builds the scheme exactly as New does (same rng
 // consumption, same centers, same tables) but keeps the construction
 // intermediates for incremental maintenance. The returned scheme's
-// tables stay unsealed; routing behavior is identical.
-func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config) (*Maintainer, error) {
-	mt := &Maintainer{members: make([][]graph.NodeID, g.N())}
-	if _, err := build(g, m, rng, cfg, mt); err != nil {
+// tables stay unsealed; routing behavior is identical. workers is the
+// build's worker count, as for New; Apply always runs sequentially.
+func NewMaintained(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, workers int) (*Maintainer, error) {
+	mt := &Maintainer{}
+	if _, err := build(g, m, rng, cfg, workers, mt); err != nil {
 		return nil, err
 	}
 	return mt, nil

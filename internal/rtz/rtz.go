@@ -40,6 +40,7 @@ import (
 	"math/rand"
 
 	"rtroute/internal/graph"
+	"rtroute/internal/parallel"
 	"rtroute/internal/sealed"
 	"rtroute/internal/tree"
 )
@@ -159,8 +160,10 @@ type Scheme struct {
 // New builds the scheme over g with distance oracle m. Construction is
 // row-oriented: every oracle access is anchored at one node at a time, so
 // a bounded lazy oracle serves it without materializing n^2 distances.
-func New(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config) (*Scheme, error) {
-	s, err := build(g, m, rng, cfg, nil)
+// workers is the build's worker count (0 = GOMAXPROCS, 1 = sequential);
+// the scheme is identical for every value.
+func New(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, workers int) (*Scheme, error) {
+	s, err := build(g, m, rng, cfg, workers, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +178,12 @@ func New(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config) (*S
 // lists are kept for incremental updates, and the tables stay unsealed so
 // the maintainer can patch Direct entries in place. Either way the routing
 // content produced is identical.
-func build(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, retain *Maintainer) (*Scheme, error) {
+//
+// Three stages run on the worker pool: the per-center double-trees, the
+// per-node pass (tree slots, nearest center, label) and the
+// per-destination cluster solves. Only the Direct maps are filled
+// serially, since one node's map takes entries from many destinations.
+func build(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, workers int, retain *Maintainer) (*Scheme, error) {
 	n := g.N()
 	if n < 2 {
 		return nil, fmt.Errorf("rtz: need at least 2 nodes, got %d", n)
@@ -194,43 +202,47 @@ func build(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, r
 		centers[i] = graph.NodeID(perm[i])
 	}
 
+	// Full double-tree per center.
+	trees := make([]*tree.Tree, count)
+	err := parallel.ForEach(count, workers, func(ci int) error {
+		t, err := tree.BuildDouble(g, centers[ci], nil)
+		if err != nil {
+			return fmt.Errorf("rtz: center %d: %w", centers[ci], err)
+		}
+		trees[ci] = t
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// Per node: its slot in every center's trees, then its nearest
+	// center and label. r(v, w) = d(v,w) + d(w,v) comes from the two rows
+	// anchored at v, fetched once per node.
 	s := &Scheme{Centers: centers, g: g, Tables: make([]*Table, n), Labels: make([]Label, n)}
-	for v := 0; v < n; v++ {
-		s.Tables[v] = &Table{
-			Self:       graph.NodeID(v),
+	centerRadius := make([]graph.Dist, n) // r(v, A)
+	err = parallel.ForEach(n, workers, func(v int) error {
+		vid := graph.NodeID(v)
+		tab := &Table{
+			Self:       vid,
 			InPorts:    make([]graph.PortID, count),
 			TreeStates: make([]tree.State, count),
 			Direct:     make(map[graph.NodeID]graph.PortID),
 		}
-	}
-
-	// Full double-tree per center.
-	trees := make([]*tree.Tree, count)
-	for ci, w := range centers {
-		t, err := tree.BuildDouble(g, w, nil)
-		if err != nil {
-			return nil, fmt.Errorf("rtz: center %d: %w", w, err)
-		}
-		trees[ci] = t
-		for v := 0; v < n; v++ {
-			st, _ := t.State(graph.NodeID(v))
-			s.Tables[v].TreeStates[ci] = st
-			if graph.NodeID(v) != w {
-				p, ok := t.InPort(graph.NodeID(v))
+		for ci, t := range trees {
+			tab.TreeStates[ci], _ = t.State(vid)
+			if vid != centers[ci] {
+				p, ok := t.InPort(vid)
 				if !ok {
-					return nil, fmt.Errorf("rtz: node %d missing in-port toward center %d", v, w)
+					return fmt.Errorf("rtz: node %d missing in-port toward center %d", v, centers[ci])
 				}
-				s.Tables[v].InPorts[ci] = p
+				tab.InPorts[ci] = p
 			}
 		}
-	}
+		s.Tables[v] = tab
 
-	// Nearest centers and labels. r(v, w) = d(v,w) + d(w,v) comes from the
-	// two rows anchored at v, fetched once per node.
-	centerRadius := make([]graph.Dist, n) // r(v, A)
-	for v := 0; v < n; v++ {
-		fwd := m.FromSource(graph.NodeID(v)) // d(v, ·)
-		rev := m.ToSink(graph.NodeID(v))     // d(·, v)
+		fwd := m.FromSource(vid) // d(v, ·)
+		rev := m.ToSink(vid)     // d(·, v)
 		best, bestIdx := graph.Inf, -1
 		for ci, w := range centers {
 			r := graph.RFromRows(fwd, rev, w)
@@ -239,64 +251,85 @@ func build(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, r
 			}
 		}
 		centerRadius[v] = best
-		lbl, _ := trees[bestIdx].LabelOf(graph.NodeID(v))
+		lbl, _ := trees[bestIdx].LabelOf(vid)
 		s.Labels[v] = Label{
-			Node:      graph.NodeID(v),
+			Node:      vid,
 			CenterIdx: int32(bestIdx),
 			Center:    centers[bestIdx],
 			TreeLabel: lbl,
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Cluster (direct) entries: for each destination y, every x with
-	// r(x,y) < r(y,A) stores the first hop of a shortest x->y path.
-	// Each oracle shape gets its cheapest plan: on the dense matrix,
-	// membership comes from resident rows and the reverse Dijkstra (for
-	// the shortest-path parents) runs only for destinations with a
-	// non-empty cluster; on any other oracle one reverse Dijkstra per
-	// destination supplies both the d(·,y) distances and the parents, so
-	// a lazy build pays exactly one reverse SSSP per destination.
+	// r(x,y) < r(y,A) stores the first hop of a shortest x->y path. A
+	// member has d(x,y) <= r(x,y) < r(y,A), so a reverse Dijkstra that
+	// settles only the ball around y holding the members gives each the
+	// first hop a full run would. Each oracle shape gets its cheapest
+	// plan: on the dense matrix, membership comes from resident rows and
+	// the reverse run (for the first hops) settles only out to the
+	// farthest member, for destinations with a non-empty cluster; on any
+	// other oracle one reverse run per destination, out to r(y,A),
+	// supplies both the d(·,y) distances and the first hops. One scratch
+	// per worker; each run is consumed within its call.
 	dense, isDense := m.(*graph.DenseMetric)
-	// One scratch serves every per-destination reverse Dijkstra below;
-	// its rows are consumed within the iteration that computed them.
-	scratch := graph.NewSSSPScratch(n)
-	for y := 0; y < n; y++ {
+	scratch := make([]*graph.SSSPScratch, parallel.Workers(n, workers))
+	members := make([][]graph.NodeID, n)
+	ports := make([][]graph.PortID, n) // ports[y][i]: members[y][i]'s first hop
+	err = parallel.ForEachWorker(n, workers, func(w, y int) error {
+		if scratch[w] == nil {
+			scratch[w] = graph.NewSSSPScratch(n)
+		}
 		radius := centerRadius[y]
 		yid := graph.NodeID(y)
 		var (
-			toY     []graph.Dist // d(·, y)
-			rev     graph.SSSP
-			haveRev bool
+			toY []graph.Dist // d(·, y), exact at least within the ball
+			rev graph.SSSP
 		)
 		if isDense {
 			toY = dense.ToSink(yid)
 		} else {
-			rev = scratch.DijkstraRev(g, yid)
+			rev = scratch[w].DijkstraRevWithin(g, yid, radius)
 			toY = rev.Dist
-			haveRev = true
 		}
 		fromY := m.FromSource(yid) // d(y, ·)
-		var members []graph.NodeID
+		var (
+			mem   []graph.NodeID
+			reach graph.Dist // max d(x, y) over members
+		)
 		for x := 0; x < n; x++ {
 			if x != y && graph.RFromRows(fromY, toY, graph.NodeID(x)) < radius {
-				members = append(members, graph.NodeID(x))
+				mem = append(mem, graph.NodeID(x))
+				reach = max(reach, toY[x])
 			}
 		}
-		if len(members) > 0 {
-			if !haveRev {
-				rev = scratch.DijkstraRev(g, yid)
-			}
-			for _, x := range members {
-				next := rev.Parent[x]
-				port, ok := g.PortTo(x, next)
-				if !ok {
-					return nil, fmt.Errorf("rtz: missing edge (%d,%d) for direct entry", x, next)
-				}
-				s.Tables[x].Direct[graph.NodeID(y)] = port
-			}
+		if len(mem) == 0 {
+			return nil
 		}
-		if retain != nil {
-			retain.members[y] = members
+		if isDense {
+			rev = scratch[w].DijkstraRevWithin(g, yid, reach+1)
+		}
+		ps := make([]graph.PortID, len(mem))
+		for i, x := range mem {
+			next := rev.Parent[x]
+			port, ok := g.PortTo(x, next)
+			if !ok {
+				return fmt.Errorf("rtz: missing edge (%d,%d) for direct entry", x, next)
+			}
+			ps[i] = port
+		}
+		members[y], ports[y] = mem, ps
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for y, mem := range members {
+		for i, x := range mem {
+			s.Tables[x].Direct[graph.NodeID(y)] = ports[y][i]
 		}
 	}
 	if retain != nil {
@@ -304,7 +337,10 @@ func build(g *graph.Graph, m graph.DistanceOracle, rng *rand.Rand, cfg Config, r
 		retain.m = m
 		retain.trees = trees
 		retain.centerRadius = centerRadius
-		retain.scratch = scratch
+		retain.members = members
+		if retain.scratch = scratch[0]; retain.scratch == nil {
+			retain.scratch = graph.NewSSSPScratch(n)
+		}
 	}
 	return s, nil
 }

@@ -12,7 +12,7 @@ func buildScheme(t testing.TB, seed int64, n, extra int, maxW graph.Dist) (*Sche
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.RandomSC(n, extra, maxW, rng)
 	m := graph.AllPairs(g)
-	s, err := New(g, m, rng, Config{})
+	s, err := New(g, m, rng, Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCustomCenterCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	g := graph.RandomSC(30, 120, 5, rng)
 	m := graph.AllPairs(g)
-	s, err := New(g, m, rng, Config{CenterCount: 5})
+	s, err := New(g, m, rng, Config{CenterCount: 5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSchemeOnRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := graph.Ring(16, rng)
 	m := graph.AllPairs(g)
-	s, err := New(g, m, rng, Config{})
+	s, err := New(g, m, rng, Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSchemeOnRing(t *testing.T) {
 func TestNewRejectsTrivialGraph(t *testing.T) {
 	g := graph.New(1)
 	m := graph.AllPairs(g)
-	if _, err := New(g, m, rand.New(rand.NewSource(1)), Config{}); err == nil {
+	if _, err := New(g, m, rand.New(rand.NewSource(1)), Config{}, 0); err == nil {
 		t.Fatal("expected error for single-node graph")
 	}
 }

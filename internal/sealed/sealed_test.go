@@ -67,3 +67,36 @@ func TestCompileRejectsNegativeKeys(t *testing.T) {
 	}()
 	Compile(map[int32]int{-1: 1})
 }
+
+func TestCompileEachMatchesCompile(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 20; trial++ {
+		keys := make([]int32, rng.Intn(200))
+		vals := make([]int64, len(keys))
+		m := make(map[int32]int64)
+		for i := range keys {
+			// Draws from a small key space repeat keys: the last value wins.
+			keys[i], vals[i] = int32(rng.Intn(300)), rng.Int63()
+			m[keys[i]] = vals[i]
+		}
+		tab := CompileEach(len(keys), func(i int) (int32, int64) { return keys[i], vals[i] })
+		if tab.Len() != len(m) || tab.Built() != (len(m) > 0) {
+			t.Fatalf("Len = %d, Built = %v; map has %d entries", tab.Len(), tab.Built(), len(m))
+		}
+		for k, v := range m {
+			if got, ok := tab.Get(k); !ok || got != v {
+				t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", k, got, ok, v)
+			}
+		}
+		n := 0
+		tab.Range(func(k int32, v int64) {
+			if m[k] != v {
+				t.Fatalf("Range yielded (%d, %d), map has %d", k, v, m[k])
+			}
+			n++
+		})
+		if n != len(m) {
+			t.Fatalf("Range visited %d entries, want %d", n, len(m))
+		}
+	}
+}

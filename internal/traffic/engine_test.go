@@ -207,7 +207,7 @@ func TestEngineServesSubstratePlanes(t *testing.T) {
 	m := graph.AllPairs(g)
 	perm := names.Random(n, rng)
 
-	sub, err := rtz.New(g, m, rng, rtz.Config{})
+	sub, err := rtz.New(g, m, rng, rtz.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

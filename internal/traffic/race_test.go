@@ -41,7 +41,7 @@ func TestConcurrentForwardingMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := rtz.New(g, m, rng, rtz.Config{})
+	sub, err := rtz.New(g, m, rng, rtz.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func resetPlanes(t *testing.T, n int, seed int64) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := rtz.New(g, m, rng, rtz.Config{})
+	sub, err := rtz.New(g, m, rng, rtz.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

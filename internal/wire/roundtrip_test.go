@@ -47,7 +47,7 @@ func testPlanes(t testing.TB, n int, seed int64) (map[string]sim.Plane, *names.P
 		t.Fatal(err)
 	}
 	planes["polystretch"] = poly
-	sub, err := rtz.New(g, m, rand.New(rand.NewSource(seed)), rtz.Config{})
+	sub, err := rtz.New(g, m, rand.New(rand.NewSource(seed)), rtz.Config{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

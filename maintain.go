@@ -69,7 +69,7 @@ func (s *System) BuildMaintained(kind SchemeKind, opts ...BuildOption) (*Maintai
 		m.plane = mt.Plane()
 	case RTZStretch3:
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		mt, err := rtz.NewMaintained(s.Graph, s.Metric, rng, cfg.Substrate)
+		mt, err := rtz.NewMaintained(s.Graph, s.Metric, rng, cfg.Substrate, cfg.BuildWorkers)
 		if err != nil {
 			return nil, err
 		}
