@@ -13,14 +13,16 @@ test:
 # Tier-1 verification (ROADMAP.md) + wire-decoder fuzz smoke.
 verify: build test fuzz-smoke
 
-# Short coverage-guided runs of the wire decoder fuzzers: arbitrary
-# bytes must error cleanly, never panic or over-allocate.
+# Short coverage-guided runs of the wire decoder fuzzers (arbitrary
+# bytes must error cleanly, never panic or over-allocate) and of the
+# sealed-table compiler (every table must answer like a Go map).
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalScheme -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalHeader -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalFlightFrame -fuzztime 5s
 	$(GO) test ./internal/wire -run '^$$' -fuzz FuzzUnmarshalChurnFrame -fuzztime 5s
+	$(GO) test ./internal/sealed -run '^$$' -fuzz FuzzSealedCompile -fuzztime 5s
 
 # E14 space certification: per-node encoded bytes across n=256..4096
 # (also: rtroute -sizes).

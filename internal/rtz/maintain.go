@@ -171,7 +171,11 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 
 	// 3. Re-solve clusters for destinations that can have changed: dirty
 	// nodes plus any destination whose center radius moved. Stale entries
-	// come out via the member lists before the fresh ones go in.
+	// come out via the member lists before the fresh ones go in. As in
+	// New, a member has d(x,y) <= r(x,y) < r(y,A), so the reverse run
+	// settles only the ball of that radius around y: inside it distances
+	// and first hops equal a full run's, outside it d(·,y) reads Inf and
+	// no node there can be a member.
 	for y := 0; y < n; y++ {
 		if !inDirty[y] && newRadius[y] == mt.centerRadius[y] {
 			continue
@@ -180,10 +184,10 @@ func (mt *Maintainer) Apply(dirty []graph.NodeID) (MaintainReport, error) {
 		for _, x := range mt.members[y] {
 			delete(s.Tables[x].Direct, yid)
 		}
-		rev := mt.scratch.DijkstraRev(g, yid)
+		radius := newRadius[y]
+		rev := mt.scratch.DijkstraRevWithin(g, yid, radius)
 		toY := rev.Dist
 		fromY := mt.m.FromSource(yid)
-		radius := newRadius[y]
 		var members []graph.NodeID
 		for x := 0; x < n; x++ {
 			if x != y && graph.RFromRows(fromY, toY, graph.NodeID(x)) < radius {

@@ -1,10 +1,17 @@
 // Package sealed provides the small immutable open-addressed lookup
-// tables the forwarding hot paths read: non-negative int32 keys
-// (node ids, TINN names, port labels) hashed into a power-of-two
-// segment with linear probing at load factor <= 1/2, so a lookup is one
-// or two cache lines instead of a Go map traversal. Tables are compiled
-// once, from a builder map or a list of entries, and never mutated —
-// the same build-then-seal discipline as the graph's CSR index.
+// tables the forwarding hot paths read: non-negative int32 keys (node
+// ids, TINN names, port labels) hashed into a power-of-two segment with
+// linear probing at load factor <= 1/2, so a lookup is a few cache lines
+// instead of a Go map traversal. Tables are compiled once, from a
+// builder map or a list of entries, and never mutated — the same
+// build-then-seal discipline as the graph's CSR index.
+//
+// The probe segment holds no values. It is two parallel int32 arrays,
+// the keys (-1 marks an empty slot) and each slot's index into a dense
+// value array with one entry per distinct key, in insertion order. A
+// miss reads only key lines, and the half-empty segment costs 8 bytes a
+// slot whatever the value type: a 930-entry table of 48-byte labels
+// takes 2048·8 + 930·48 bytes instead of 2048·52.
 package sealed
 
 // Hash spreads an int32 id (Knuth multiplicative hash with an xor fold
@@ -20,8 +27,8 @@ func Hash(v int32) uint32 {
 // table: every Get misses and Built reports false.
 type Table[V any] struct {
 	keys []int32 // -1 marks an empty slot
-	vals []V
-	n    int
+	idx  []int32 // idx[i] is the vals index of keys[i] when keys[i] >= 0
+	vals []V     // one value per distinct key, in insertion order
 }
 
 // Compile builds a table holding every entry of m. Keys must be
@@ -56,7 +63,9 @@ func newTable[V any](n int) Table[V] {
 	for size < 2*n {
 		size <<= 1
 	}
-	t := Table[V]{keys: make([]int32, size), vals: make([]V, size)}
+	// One allocation backs both probe arrays.
+	slots := make([]int32, 2*size)
+	t := Table[V]{keys: slots[:size:size], idx: slots[size:], vals: make([]V, 0, n)}
 	for i := range t.keys {
 		t.keys[i] = -1
 	}
@@ -73,18 +82,20 @@ func (t *Table[V]) put(k int32, v V) {
 	for t.keys[i] >= 0 && t.keys[i] != k {
 		i = (i + 1) & mask
 	}
-	if t.keys[i] < 0 {
-		t.keys[i] = k
-		t.n++
+	if t.keys[i] == k {
+		t.vals[t.idx[i]] = v
+		return
 	}
-	t.vals[i] = v
+	t.keys[i] = k
+	t.idx[i] = int32(len(t.vals))
+	t.vals = append(t.vals, v)
 }
 
 // Built reports whether the table was compiled from at least one entry.
 func (t *Table[V]) Built() bool { return t.keys != nil }
 
-// Len returns the number of entries.
-func (t *Table[V]) Len() int { return t.n }
+// Len returns the number of distinct keys.
+func (t *Table[V]) Len() int { return len(t.vals) }
 
 // Get returns the value stored under k. Negative keys are never stored
 // (Compile rejects them) and always miss — they must not be compared
@@ -98,7 +109,7 @@ func (t *Table[V]) Get(k int32) (V, bool) {
 	for i := Hash(k) & mask; ; i = (i + 1) & mask {
 		switch kk := t.keys[i]; {
 		case kk == k:
-			return t.vals[i], true
+			return t.vals[t.idx[i]], true
 		case kk < 0:
 			var zero V
 			return zero, false
@@ -110,7 +121,7 @@ func (t *Table[V]) Get(k int32) (V, bool) {
 func (t *Table[V]) Range(fn func(k int32, v V)) {
 	for i, k := range t.keys {
 		if k >= 0 {
-			fn(k, t.vals[i])
+			fn(k, t.vals[t.idx[i]])
 		}
 	}
 }
